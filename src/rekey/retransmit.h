@@ -21,9 +21,8 @@
 //     simultaneous victims) drains its own bucket and gets dropped
 //     requests instead of driving the server into a resync storm.
 //
-// Thread safety: none here. GroupKeyServer records and serves under its
-// external serialization; LockedGroupKeyServer routes both through its
-// dispatch mutex.
+// Thread safety: none here. GroupKeyServer is single-threaded;
+// ShardedGroupKeyServer records and serves under its dispatch mutex.
 #pragma once
 
 #include <cstdint>

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "telemetry/convergence.h"
 #include "telemetry/metrics.h"
 
 namespace keygraphs::server::overload {
@@ -306,6 +307,124 @@ HealthState HealthMonitor::evaluate(std::uint64_t now_us) {
 HealthState HealthMonitor::state() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return state_;
+}
+
+Gate::Gate(const OverloadConfig& config, std::size_t lanes)
+    : config_(config),
+      admission_(config, lanes),
+      health_(config),
+      lanes_(std::max<std::size_t>(lanes, 1)) {}
+
+GateResult Gate::offer(std::size_t lane, UserId user, bool join, bool member,
+                       std::uint64_t now_us) {
+  GateResult result;
+  const std::lock_guard<std::mutex> lock(mutex_);
+  if (const auto it = buffered_.find(user); it != buffered_.end()) {
+    // An identical re-offer rides the buffered op. A conflicting one (a
+    // rejoin while the leave is buffered, or a leave before the join has
+    // flushed) must wait for the flush's rekey: shed it past the tick.
+    if (it->second != join) {
+      result.action = Admission::kShed;
+      result.retry_after_us = config_.degraded_batch_period_us;
+    } else {
+      result.action = Admission::kCoalesce;
+    }
+    return result;
+  }
+  if (join && member) return result;  // duplicate join: cheap no-op
+  if (!join && !member) {
+    result.denied = true;  // matches leave_with_token's non-member answer
+    return result;
+  }
+  const Decision decision = admission_.admit(lane, now_us, health_.state());
+  result.action = decision.action;
+  result.retry_after_us = decision.retry_after_us;
+  if (decision.action == Admission::kCoalesce) {
+    buffered_.emplace(user, join);
+    LaneBuffer& buffer = lanes_.at(lane);
+    (join ? buffer.joins : buffer.leaves).push_back({user, now_us});
+  }
+  return result;
+}
+
+void Gate::note_seal(std::size_t lane, std::uint64_t seal_us,
+                     std::uint64_t now_us) {
+  health_.note_seal_us(seal_us);
+  admission_.note_seal(lane, seal_us, now_us);
+}
+
+OverloadTick Gate::poll(
+    std::uint64_t now_us, const std::function<bool(UserId)>& is_member,
+    const std::function<std::vector<UserId>(const std::vector<UserId>&,
+                                            const std::vector<UserId>&)>&
+        batch) {
+  OverloadTick tick;
+  if (!config_.enabled) return tick;
+  health_.note_sheds(admission_.take_sheds());
+  health_.note_queue_depth(admission_.total_depth());
+  if (config_.slo_lag_epochs > 0) {
+    health_.note_slo_lag(telemetry::ConvergenceMonitor::global().max_lag());
+  }
+  health_.evaluate(now_us);
+
+  std::vector<LaneBuffer> drained;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    if (buffered_.empty()) return tick;
+    const bool full = std::any_of(
+        lanes_.begin(), lanes_.end(), [&](const LaneBuffer& buffer) {
+          return buffer.joins.size() + buffer.leaves.size() >=
+                 config_.admission_queue;
+        });
+    if (now_us < next_flush_us_ && !full) return tick;
+    next_flush_us_ = now_us + config_.degraded_batch_period_us;
+    drained.resize(lanes_.size());
+    drained.swap(lanes_);
+    for (std::size_t lane = 0; lane < drained.size(); ++lane) {
+      admission_.release(
+          lane, drained[lane].joins.size() + drained[lane].leaves.size());
+    }
+    buffered_.clear();
+  }
+
+  // Filtering and batch() run with mutex_ dropped: the membership callback
+  // and batch() take the servers' own locks, and offers from other
+  // threads never wait on a flush.
+  static auto& deadline_shed = telemetry::Registry::global().counter(
+      "server.overload.deadline_shed",
+      "Buffered ops shed because they waited past shed_deadline_us");
+  const auto expired = [&](const BufferedOp& op) {
+    return config_.shed_deadline_us > 0 && now_us > op.offered_us &&
+           now_us - op.offered_us > config_.shed_deadline_us;
+  };
+  const std::uint64_t period = config_.degraded_batch_period_us;
+  std::vector<UserId> joins;
+  std::vector<UserId> leaves;
+  for (const LaneBuffer& buffer : drained) {
+    for (const BufferedOp& op : buffer.joins) {
+      if (expired(op)) {
+        tick.shed.push_back({op.user, true, period});
+        if (telemetry::enabled()) deadline_shed.add(1);
+      } else if (!is_member(op.user)) {
+        // A direct join may have raced the buffer (e.g. a resumed client
+        // went around the gate).
+        joins.push_back(op.user);
+      }
+    }
+    for (const BufferedOp& op : buffer.leaves) {
+      if (expired(op)) {
+        tick.shed.push_back({op.user, false, period});
+        if (telemetry::enabled()) deadline_shed.add(1);
+      } else if (is_member(op.user)) {
+        leaves.push_back(op.user);
+      }
+    }
+  }
+  if (!joins.empty() || !leaves.empty()) {
+    tick.joined = batch(joins, leaves);
+    tick.flushed = true;
+  }
+  return tick;
 }
 
 }  // namespace keygraphs::server::overload

@@ -22,6 +22,10 @@
 //     prescribes. The state is exported as the `server.health` gauge and
 //     surfaced on /healthz.
 //
+//   Gate — the one admission/coalesce path both server classes delegate
+//     to: the two parts above plus the per-lane join/leave buffers, the
+//     flush tick and deadline shedding.
+//
 // With OverloadConfig::enabled = false (the default, spec `overload=off`)
 // no decision ever sheds or coalesces and no kRetryLater byte reaches the
 // wire, so all pre-existing wire goldens hold.
@@ -29,7 +33,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <mutex>
+#include <unordered_map>
 #include <vector>
 
 #include "keygraph/key.h"
@@ -201,5 +207,86 @@ class HealthMonitor {
 /// HealthMonitor on transitions and by servers at construction so the
 /// gauge is correct before the first evaluate().
 void publish_health(HealthState state);
+
+/// Outcome of offering a request to the gate (the servers' offer_join /
+/// offer_leave). With overload disabled the gate always answers kAdmit
+/// and the caller runs the normal immediate-rekey path.
+struct GateResult {
+  Admission action = Admission::kAdmit;
+  /// For kShed: the retry-after hint to put on the kRetryLater reply.
+  std::uint64_t retry_after_us = 0;
+  /// The request failed validation (bad token, ACL rejection, leave from
+  /// a non-member): rejected outright, not shed and not admitted.
+  bool denied = false;
+};
+
+/// What one poll() tick did.
+struct OverloadTick {
+  std::vector<ShedNotice> shed;
+  std::vector<UserId> joined;
+  bool flushed = false;
+};
+
+/// Admission controller, health monitor and the per-lane coalesce buffers
+/// behind one internally synchronized interface. A lane is a shard of
+/// ShardedGroupKeyServer; GroupKeyServer is lane 0. The servers validate
+/// tokens, ACL and membership and then delegate here.
+class Gate {
+ public:
+  Gate(const OverloadConfig& config, std::size_t lanes);
+
+  [[nodiscard]] bool enabled() const noexcept { return config_.enabled; }
+
+  /// Gates one validated join (`join`) or leave from `user`, whose current
+  /// membership is `member`. A user is buffered at most once: an identical
+  /// re-offer rides the buffered op, a conflicting one is shed past the
+  /// next flush. A join from a member is admitted (the immediate path
+  /// answers kDuplicate); a leave from a non-member is denied.
+  GateResult offer(std::size_t lane, UserId user, bool join, bool member,
+                   std::uint64_t now_us);
+
+  /// Feeds one seal-stage latency sample into the health EWMA and the
+  /// lane's circuit breaker.
+  void note_seal(std::size_t lane, std::uint64_t seal_us,
+                 std::uint64_t now_us);
+
+  /// One degraded-mode tick: feeds the accumulated pressure signals (sheds,
+  /// queue depth, convergence lag) to the health monitor; then, when the
+  /// batch tick is due or a lane is full, drains every buffer. Ops whose
+  /// shed deadline passed come back in `shed`; the rest, filtered against
+  /// live membership by `is_member`, run through one `batch` call.
+  OverloadTick poll(
+      std::uint64_t now_us, const std::function<bool(UserId)>& is_member,
+      const std::function<std::vector<UserId>(const std::vector<UserId>&,
+                                              const std::vector<UserId>&)>&
+          batch);
+
+  /// Current health (kHealthy whenever overload is off).
+  [[nodiscard]] HealthState health() const { return health_.state(); }
+  [[nodiscard]] AdmissionController& admission() noexcept {
+    return admission_;
+  }
+
+ private:
+  struct BufferedOp {
+    UserId user = 0;
+    std::uint64_t offered_us = 0;
+  };
+  struct LaneBuffer {
+    std::vector<BufferedOp> joins;
+    std::vector<BufferedOp> leaves;
+  };
+
+  OverloadConfig config_;
+  AdmissionController admission_;
+  HealthMonitor health_;
+  /// Guards the buffers below; never held while calling back into a
+  /// server (poll() drains under it, then filters and batches without it).
+  std::mutex mutex_;
+  std::vector<LaneBuffer> lanes_;
+  /// user -> is-join: the index of every buffered op, across all lanes.
+  std::unordered_map<UserId, bool> buffered_;
+  std::uint64_t next_flush_us_ = 0;
+};
 
 }  // namespace keygraphs::server::overload

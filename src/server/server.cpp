@@ -5,8 +5,8 @@
 
 #include "common/error.h"
 #include "common/io.h"
-#include "crypto/sha256.h"
 #include "rekey/batch.h"
+#include "server/shared.h"
 #include "telemetry/convergence.h"
 #include "telemetry/stage.h"
 
@@ -36,8 +36,7 @@ GroupKeyServer::GroupKeyServer(ServerConfig config,
                 config_.schedule_cache_capacity),
       retransmit_(config_.retransmit_window),
       limiter_(config_.recovery_rate, config_.recovery_burst),
-      gate_(config_.overload, /*lanes=*/1),
-      health_(config_.overload) {
+      gate_(config_.overload, /*lanes=*/1) {
   tree_ = std::make_unique<KeyTree>(config_.tree_degree,
                                     config_.suite.key_size(), rng_);
   strategy_ = rekey::make_strategy(config_.strategy);
@@ -49,25 +48,11 @@ GroupKeyServer::GroupKeyServer(ServerConfig config,
   }
 }
 
-void GroupKeyServer::begin_trace(PendingRekey& pending,
-                                 rekey::RekeyKind kind) {
-  // Replayed operations are reconstructions, not live traffic; emitting
-  // spans for them would double-count the original dispatch.
-  if (replaying_) return;
-  if (!config_.trace_propagation || !telemetry::enabled()) return;
-  pending.trace.trace_id = telemetry::next_trace_id();
-  pending.trace.op_kind = static_cast<std::uint8_t>(kind);
-}
-
 std::uint64_t GroupKeyServer::now_us() const {
   // Replay pins the clock to the journaled timestamp: signatures cover it,
   // so reproducing the original sealed bytes requires the original time.
   if (replaying_) return pinned_clock_us_;
-  if (config_.clock_us) return config_.clock_us();
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::system_clock::now().time_since_epoch())
-          .count());
+  return detail::clock_now_us(config_.clock_us);
 }
 
 void GroupKeyServer::set_signing_mode(rekey::SigningMode mode) {
@@ -147,191 +132,29 @@ bool GroupKeyServer::resync_with_token(UserId user, BytesView token) {
 }
 
 GateResult GroupKeyServer::offer_join(UserId user, BytesView token) {
-  GateResult result;
-  if (!config_.overload.enabled) return result;  // kAdmit: normal path
+  if (!gate_.enabled()) return {};  // kAdmit: normal path
   // Validate before consuming any admission budget: a forged token or an
   // ACL reject must never shed (or displace) honest work.
   if (!auth_.verify_join_token(user, token) || !acl_.authorizes(user)) {
-    result.denied = true;
-    return result;
+    return GateResult{.denied = true};
   }
-  if (const auto it = buffered_.find(user); it != buffered_.end()) {
-    if (it->second == BufferedKind::kJoin) {
-      // Idempotent duplicate: rides the already-buffered join.
-      result.action = overload::Admission::kCoalesce;
-      return result;
-    }
-    // Join while this user's leave is buffered: a rejoin needs fresh keys
-    // *after* the departure rekey, so shed it past the next flush.
-    result.action = overload::Admission::kShed;
-    result.retry_after_us = config_.overload.degraded_batch_period_us;
-    return result;
-  }
-  if (tree_->has_user(user)) return result;  // duplicate join: cheap no-op
-  const overload::Decision decision =
-      gate_.admit(0, now_us(), health_.state());
-  result.action = decision.action;
-  result.retry_after_us = decision.retry_after_us;
-  if (decision.action == overload::Admission::kCoalesce) {
-    buffered_.emplace(user, BufferedKind::kJoin);
-    buffered_joins_.push_back({user, now_us()});
-  }
-  return result;
+  return gate_.offer(0, user, /*join=*/true, tree_->has_user(user), now_us());
 }
 
 GateResult GroupKeyServer::offer_leave(UserId user, BytesView token) {
-  GateResult result;
-  if (!config_.overload.enabled) return result;
-  if (!auth_.verify_leave_token(user, token)) {
-    result.denied = true;
-    return result;
-  }
-  if (const auto it = buffered_.find(user); it != buffered_.end()) {
-    if (it->second == BufferedKind::kLeave) {
-      result.action = overload::Admission::kCoalesce;
-      return result;
-    }
-    // Leave while the user's join is still buffered: after the flush the
-    // user is a member and the retried leave succeeds.
-    result.action = overload::Admission::kShed;
-    result.retry_after_us = config_.overload.degraded_batch_period_us;
-    return result;
-  }
-  if (!tree_->has_user(user)) {
-    result.denied = true;  // matches leave_with_token's non-member answer
-    return result;
-  }
-  const overload::Decision decision =
-      gate_.admit(0, now_us(), health_.state());
-  result.action = decision.action;
-  result.retry_after_us = decision.retry_after_us;
-  if (decision.action == overload::Admission::kCoalesce) {
-    buffered_.emplace(user, BufferedKind::kLeave);
-    buffered_leaves_.push_back({user, now_us()});
-  }
-  return result;
-}
-
-DegradedFlush GroupKeyServer::take_degraded_flush() {
-  DegradedFlush flush;
-  if (!config_.overload.enabled) return flush;
-  if (buffered_joins_.empty() && buffered_leaves_.empty()) return flush;
-  const std::uint64_t now = now_us();
-  const bool full = buffered_.size() >= config_.overload.admission_queue;
-  if (now < next_flush_us_ && !full) return flush;
-  next_flush_us_ = now + config_.overload.degraded_batch_period_us;
-
-  static auto& deadline_shed = telemetry::Registry::global().counter(
-      "server.overload.deadline_shed",
-      "Buffered ops shed because they waited past shed_deadline_us");
-  const auto expired = [&](const BufferedOp& op) {
-    return config_.overload.shed_deadline_us > 0 && now > op.offered_us &&
-           now - op.offered_us > config_.overload.shed_deadline_us;
-  };
-  for (const BufferedOp& op : buffered_joins_) {
-    if (expired(op)) {
-      flush.shed.push_back(
-          {op.user, true, config_.overload.degraded_batch_period_us});
-      if (telemetry::enabled()) deadline_shed.add(1);
-      continue;
-    }
-    // Filter against live membership: a direct join may have raced the
-    // buffer (e.g. a resumed client went around the gate).
-    if (!tree_->has_user(op.user)) flush.joins.push_back(op.user);
-  }
-  for (const BufferedOp& op : buffered_leaves_) {
-    if (expired(op)) {
-      flush.shed.push_back(
-          {op.user, false, config_.overload.degraded_batch_period_us});
-      if (telemetry::enabled()) deadline_shed.add(1);
-      continue;
-    }
-    if (tree_->has_user(op.user)) flush.leaves.push_back(op.user);
-  }
-  const std::size_t released =
-      buffered_joins_.size() + buffered_leaves_.size();
-  buffered_joins_.clear();
-  buffered_leaves_.clear();
-  buffered_.clear();
-  gate_.release(0, released);
-  return flush;
-}
-
-overload::HealthState GroupKeyServer::evaluate_overload() {
-  if (!config_.overload.enabled) return overload::HealthState::kHealthy;
-  health_.note_sheds(gate_.take_sheds());
-  health_.note_queue_depth(gate_.total_depth());
-  if (config_.overload.slo_lag_epochs > 0) {
-    health_.note_slo_lag(telemetry::ConvergenceMonitor::global().max_lag());
-  }
-  return health_.evaluate(now_us());
+  if (!gate_.enabled()) return {};
+  if (!auth_.verify_leave_token(user, token)) return GateResult{.denied = true};
+  return gate_.offer(0, user, /*join=*/false, tree_->has_user(user),
+                     now_us());
 }
 
 OverloadTick GroupKeyServer::poll_overload() {
-  OverloadTick tick;
-  if (!config_.overload.enabled) return tick;
-  evaluate_overload();
-  DegradedFlush flush = take_degraded_flush();
-  tick.shed = std::move(flush.shed);
-  if (flush.has_work()) {
-    tick.joined = batch(flush.joins, flush.leaves);
-    tick.flushed = true;
-  }
-  return tick;
-}
-
-namespace {
-
-struct RetransmitMetrics {
-  telemetry::Counter& nacks;
-  telemetry::Counter& served;
-  telemetry::Counter& datagrams;
-  telemetry::Counter& out_of_window;
-  telemetry::Counter& rate_limited;
-  telemetry::Counter& resync_fallbacks;
-
-  static RetransmitMetrics& get() {
-    auto& registry = telemetry::Registry::global();
-    static RetransmitMetrics* metrics = new RetransmitMetrics{
-        registry.counter("rekey.retransmit.nacks"),
-        registry.counter("rekey.retransmit.served"),
-        registry.counter("rekey.retransmit.datagrams"),
-        registry.counter("rekey.retransmit.out_of_window"),
-        registry.counter("rekey.retransmit.rate_limited"),
-        registry.counter("rekey.retransmit.resync_fallbacks"),
-    };
-    return *metrics;
-  }
-};
-
-}  // namespace
-
-std::optional<NackOutcome> GroupKeyServer::try_retransmit(
-    UserId user, std::uint64_t have_epoch) {
-  if (telemetry::enabled()) RetransmitMetrics::get().nacks.add(1);
-  if (!limiter_.admit(user, now_us())) {
-    if (telemetry::enabled()) RetransmitMetrics::get().rate_limited.add(1);
-    return NackOutcome::kRateLimited;
-  }
-  if (retransmit_.enabled()) {
-    if (const auto replays = retransmit_.collect(user, have_epoch)) {
-      if (telemetry::enabled()) {
-        RetransmitMetrics::get().served.add(1);
-        RetransmitMetrics::get().datagrams.add(replays->size());
-      }
-      const rekey::Recipient to = rekey::Recipient::to_user(user);
-      for (const BytesView datagram : *replays) {
-        // Already framed kRekey bytes; unicast them back regardless of
-        // their original (subgroup) addressing.
-        transport_.deliver(to, datagram,
-                           [user] { return std::vector<UserId>{user}; });
-      }
-      return NackOutcome::kRetransmitted;
-    }
-    if (telemetry::enabled()) RetransmitMetrics::get().out_of_window.add(1);
-  }
-  if (telemetry::enabled()) RetransmitMetrics::get().resync_fallbacks.add(1);
-  return std::nullopt;  // caller falls back to resync
+  return gate_.poll(
+      now_us(), [this](UserId user) { return tree_->has_user(user); },
+      [this](const std::vector<UserId>& joins,
+             const std::vector<UserId>& leaves) {
+        return batch(joins, leaves);
+      });
 }
 
 NackOutcome GroupKeyServer::handle_nack(UserId user,
@@ -339,7 +162,10 @@ NackOutcome GroupKeyServer::handle_nack(UserId user,
   if (!tree_->view()->has_user(user)) {
     throw ProtocolError("nack from non-member user " + std::to_string(user));
   }
-  if (const auto outcome = try_retransmit(user, have_epoch)) return *outcome;
+  if (const auto outcome = detail::try_retransmit(
+          retransmit_, limiter_, transport_, user, have_epoch, now_us())) {
+    return *outcome;
+  }
   resync(user);
   return NackOutcome::kResynced;
 }
@@ -384,6 +210,56 @@ void GroupKeyServer::finish_plan(PendingRekey& pending,
   pending.stage_us = stages.breakdown();
 }
 
+template <typename Mutate, typename Plan>
+void GroupKeyServer::plan_mutation(PendingRekey& pending,
+                                   const StageCollector& stages,
+                                   rekey::RekeyKind kind,
+                                   storage::OpKind journal_kind,
+                                   const std::vector<UserId>& joins,
+                                   const std::vector<UserId>& leaves,
+                                   Mutate&& mutate, Plan&& plan) {
+  // Record every rng byte the plan draws (tree keygen + planner IVs): the
+  // tape is what makes a journal replay byte-identical on any replica.
+  std::optional<crypto::RngCapture> capture;
+  if (durable_ != nullptr && !replaying_) capture.emplace(rng_);
+
+  pending.trace =
+      detail::begin_trace(config_.trace_propagation && !replaying_, kind);
+  const telemetry::TraceBinding traced(pending.trace,
+                                       telemetry::kServerProcess);
+  std::optional<telemetry::ScopedSpan> plan_span;
+  if (pending.trace.active()) plan_span.emplace("rekey.plan");
+
+  pending.started = std::chrono::steady_clock::now();
+  tree_->stamp_next_epoch(epoch_ + 1);
+  const auto record = [&] {
+    const StageScope scope(Stage::kTreeUpdate);  // keygen nests inside
+    return mutate();
+  }();
+  pending.view = tree_->view();
+  rekey::RekeyPlanner planner(config_.suite.cipher, rng_, pending.view);
+  std::vector<rekey::PlannedRekey> messages;
+  {
+    const StageScope scope(Stage::kEncrypt);  // symbolic wraps + IV draws
+    messages = plan(record, planner);
+  }
+  finish_plan(pending, planner, std::move(messages), kind, kind,
+              record.removed_nodes, /*advance_epoch=*/true, stages);
+  if (capture) {
+    pending.commit = detail::commit_record(journal_kind, epoch_,
+                                           pending.timestamp_us, joins,
+                                           leaves, *capture);
+  }
+  // A departed member no longer owes convergence; drop its lag gauge.
+  // Replay skips this: the monitor belongs to the live timeline (an
+  // in-process standby shares it with the primary).
+  if (telemetry::enabled() && !replaying_) {
+    for (const UserId leaver : leaves) {
+      telemetry::ConvergenceMonitor::global().forget_user(leaver);
+    }
+  }
+}
+
 JoinResult GroupKeyServer::plan_join(UserId user, PendingRekey& pending) {
   StageCollector stages;
   Bytes individual_key;
@@ -396,43 +272,13 @@ JoinResult GroupKeyServer::plan_join(UserId user, PendingRekey& pending) {
     if (tree_->has_user(user)) return JoinResult::kDuplicate;
     individual_key = auth_.individual_key(user, config_.suite.key_size());
   }
-
-  // Record every rng byte the plan draws (tree keygen + planner IVs): the
-  // tape is what makes a journal replay byte-identical on any replica.
-  std::optional<crypto::RngCapture> capture;
-  if (durable_ != nullptr && !replaying_) capture.emplace(rng_);
-
-  begin_trace(pending, rekey::RekeyKind::kJoin);
-  const telemetry::TraceBinding traced(pending.trace,
-                                       telemetry::kServerProcess);
-  std::optional<telemetry::ScopedSpan> plan_span;
-  if (pending.trace.active()) plan_span.emplace("rekey.plan");
-
-  pending.started = std::chrono::steady_clock::now();
-  tree_->stamp_next_epoch(epoch_ + 1);
-  std::optional<JoinRecord> record;
-  {
-    const StageScope scope(Stage::kTreeUpdate);  // keygen nests inside
-    record.emplace(tree_->join(user, std::move(individual_key)));
-  }
-  pending.view = tree_->view();
-  rekey::RekeyPlanner planner(config_.suite.cipher, rng_, pending.view);
-  std::vector<rekey::PlannedRekey> messages;
-  {
-    const StageScope scope(Stage::kEncrypt);  // symbolic wraps + IV draws
-    messages = strategy_->plan_join(*record, planner);
-  }
-  finish_plan(pending, planner, std::move(messages), rekey::RekeyKind::kJoin,
-              rekey::RekeyKind::kJoin, record->removed_nodes,
-              /*advance_epoch=*/true, stages);
-  if (capture) {
-    pending.commit = std::make_unique<storage::JournalRecord>();
-    pending.commit->kind = storage::OpKind::kJoin;
-    pending.commit->epoch = epoch_;
-    pending.commit->timestamp_us = pending.timestamp_us;
-    pending.commit->joins = {user};
-    pending.commit->rng_tape = capture->take();
-  }
+  plan_mutation(
+      pending, stages, rekey::RekeyKind::kJoin, storage::OpKind::kJoin,
+      {user}, {},
+      [&] { return tree_->join(user, std::move(individual_key)); },
+      [&](const JoinRecord& record, rekey::RekeyPlanner& planner) {
+        return strategy_->plan_join(record, planner);
+      });
   return JoinResult::kGranted;
 }
 
@@ -451,44 +297,12 @@ JoinResult GroupKeyServer::plan_join_with_token(UserId user, BytesView token,
 
 void GroupKeyServer::plan_leave(UserId user, PendingRekey& pending) {
   StageCollector stages;
-  std::optional<crypto::RngCapture> capture;
-  if (durable_ != nullptr && !replaying_) capture.emplace(rng_);
-  begin_trace(pending, rekey::RekeyKind::kLeave);
-  const telemetry::TraceBinding traced(pending.trace,
-                                       telemetry::kServerProcess);
-  std::optional<telemetry::ScopedSpan> plan_span;
-  if (pending.trace.active()) plan_span.emplace("rekey.plan");
-  pending.started = std::chrono::steady_clock::now();
-  tree_->stamp_next_epoch(epoch_ + 1);
-  std::optional<LeaveRecord> record;
-  {
-    const StageScope scope(Stage::kTreeUpdate);
-    record.emplace(tree_->leave(user));  // throws for non-members
-  }
-  pending.view = tree_->view();
-  rekey::RekeyPlanner planner(config_.suite.cipher, rng_, pending.view);
-  std::vector<rekey::PlannedRekey> messages;
-  {
-    const StageScope scope(Stage::kEncrypt);
-    messages = strategy_->plan_leave(*record, planner);
-  }
-  finish_plan(pending, planner, std::move(messages), rekey::RekeyKind::kLeave,
-              rekey::RekeyKind::kLeave, record->removed_nodes,
-              /*advance_epoch=*/true, stages);
-  if (capture) {
-    pending.commit = std::make_unique<storage::JournalRecord>();
-    pending.commit->kind = storage::OpKind::kLeave;
-    pending.commit->epoch = epoch_;
-    pending.commit->timestamp_us = pending.timestamp_us;
-    pending.commit->leaves = {user};
-    pending.commit->rng_tape = capture->take();
-  }
-  // A departed member no longer owes convergence; drop its lag gauge.
-  // Replay skips this: the monitor belongs to the live timeline (an
-  // in-process standby shares it with the primary).
-  if (telemetry::enabled() && !replaying_) {
-    telemetry::ConvergenceMonitor::global().forget_user(user);
-  }
+  plan_mutation(
+      pending, stages, rekey::RekeyKind::kLeave, storage::OpKind::kLeave, {},
+      {user}, [&] { return tree_->leave(user); },  // throws: non-member
+      [&](const LeaveRecord& record, rekey::RekeyPlanner& planner) {
+        return strategy_->plan_leave(record, planner);
+      });
 }
 
 bool GroupKeyServer::plan_leave_with_token(UserId user, BytesView token,
@@ -515,54 +329,22 @@ std::vector<UserId> GroupKeyServer::plan_batch(
     }
   }
 
-  std::optional<crypto::RngCapture> capture;
-  if (durable_ != nullptr && !replaying_) capture.emplace(rng_);
-
-  begin_trace(pending, rekey::RekeyKind::kBatch);
-  const telemetry::TraceBinding traced(pending.trace,
-                                       telemetry::kServerProcess);
-  std::optional<telemetry::ScopedSpan> plan_span;
-  if (pending.trace.active()) plan_span.emplace("rekey.plan");
-
-  pending.started = std::chrono::steady_clock::now();
-  tree_->stamp_next_epoch(epoch_ + 1);
-  std::optional<BatchRecord> record;
-  {
-    const StageScope scope(Stage::kTreeUpdate);
-    record.emplace(tree_->batch_update(joins, leave_users));
-  }
-  pending.view = tree_->view();
-  rekey::RekeyPlanner planner(config_.suite.cipher, rng_, pending.view);
-  std::vector<rekey::PlannedRekey> messages;
-  {
-    const StageScope scope(Stage::kEncrypt);
-    messages = rekey::plan_batch(*record, planner);
-  }
-  finish_plan(pending, planner, std::move(messages), rekey::RekeyKind::kBatch,
-              rekey::RekeyKind::kBatch, record->removed_nodes,
-              /*advance_epoch=*/true, stages);
-  if (capture) {
-    // The journal stores the *admitted* joiners, not the requested list:
-    // replay re-admits exactly these and checks it got the same answer.
-    pending.commit = std::make_unique<storage::JournalRecord>();
-    pending.commit->kind = storage::OpKind::kBatch;
-    pending.commit->epoch = epoch_;
-    pending.commit->timestamp_us = pending.timestamp_us;
-    pending.commit->joins = admitted;
-    pending.commit->leaves = leave_users;
-    pending.commit->rng_tape = capture->take();
-  }
-  if (telemetry::enabled() && !replaying_) {
-    for (const UserId leaver : leave_users) {
-      telemetry::ConvergenceMonitor::global().forget_user(leaver);
-    }
-  }
+  // The journal stores the *admitted* joiners, not the requested list:
+  // replay re-admits exactly these and checks it got the same answer.
+  plan_mutation(
+      pending, stages, rekey::RekeyKind::kBatch, storage::OpKind::kBatch,
+      admitted, leave_users,
+      [&] { return tree_->batch_update(joins, leave_users); },
+      [](const BatchRecord& record, rekey::RekeyPlanner& planner) {
+        return rekey::plan_batch(record, planner);
+      });
   return admitted;
 }
 
 void GroupKeyServer::plan_resync(UserId user, PendingRekey& pending) {
   StageCollector stages;
-  begin_trace(pending, rekey::RekeyKind::kResync);
+  pending.trace = detail::begin_trace(
+      config_.trace_propagation && !replaying_, rekey::RekeyKind::kResync);
   const telemetry::TraceBinding traced(pending.trace,
                                        telemetry::kServerProcess);
   std::optional<telemetry::ScopedSpan> plan_span;
@@ -621,12 +403,11 @@ void GroupKeyServer::seal(PendingRekey& pending) {
   pending.sealed = executor_.seal(pending.plan, *sealer_);
   // Seal-stage latency is an overload pressure signal: a sustained EWMA
   // above degrade_seal_us drives the health machine toward batching.
-  if (config_.overload.enabled && !replaying_) {
+  if (gate_.enabled() && !replaying_) {
     const auto elapsed_us = static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::microseconds>(
             std::chrono::steady_clock::now() - seal_started)
             .count());
-    health_.note_seal_us(elapsed_us);
     gate_.note_seal(0, elapsed_us, now_us());
   }
   const telemetry::StageBreakdown& sealed_us = stages.breakdown();
@@ -643,22 +424,8 @@ void GroupKeyServer::dispatch(PendingRekey&& pending) {
   if (pending.trace.active()) dispatch_span.emplace("rekey.dispatch");
   OpRecord op = pending.op;
   op.signatures = sealer_->signatures_for(pending.sealed.size());
-  op.messages = pending.sealed.size();
-  op.min_message = std::numeric_limits<std::size_t>::max();
-  // Epoch-advancing operations park their framed datagrams in the
-  // retransmit window so a later NACK replays these exact bytes. Resyncs
-  // are excluded: they re-stamp the current epoch and would collide with
-  // the real rekey recorded under that number.
-  const bool remember = retransmit_.enabled() &&
-                        op.kind != rekey::RekeyKind::kResync &&
-                        !pending.plan.messages.empty();
-  std::vector<rekey::StoredDatagram> stored;
-  if (remember) stored.reserve(pending.sealed.size());
-  // Write-ahead commit: the journal record (op inputs + rng tape + sealed
-  // digest) goes durable *before* the first datagram leaves and before the
-  // epoch is published. A crash after this line replays the op; a crash
-  // before it means no client ever saw the epoch, so nothing is lost.
-  commit_to_journal(pending);
+  detail::append_commit(durable_.get(), pending.commit.get(),
+                        pending.sealed);
   // The publish timestamp for fleet convergence: recorded before the first
   // delivery, because in-process transports apply on the client inside
   // deliver() and an apply must never precede its publish. Resyncs replay
@@ -669,57 +436,18 @@ void GroupKeyServer::dispatch(PendingRekey&& pending) {
         pending.plan.messages.front().header.epoch, now_us() * 1000,
         pending.view->user_count());
   }
-  std::optional<rekey::TraceExtension> extension;
-  if (pending.trace.active()) {
-    extension = rekey::TraceExtension{pending.trace.trace_id,
-                                      pending.trace.epoch,
-                                      pending.trace.op_kind};
+  // Fan-out resolves on the plan-time view, immune to mutations planned
+  // since.
+  std::vector<Bytes> datagrams =
+      detail::deliver_burst(pending.sealed,
+                            detail::trace_extension(pending.trace),
+                            pending.view, {}, transport_, op);
+  // Resyncs stay out of the retransmit window: they re-stamp the current
+  // epoch and would collide with the real rekey recorded under it.
+  if (op.kind != rekey::RekeyKind::kResync && !pending.sealed.empty()) {
+    detail::remember(retransmit_, pending.plan.messages.front().header.epoch,
+                     pending.view, pending.sealed, std::move(datagrams), {});
   }
-  // Frame every datagram of the burst first, then hand the whole burst to
-  // the transport at once: gather-capable transports (UDP sendmmsg)
-  // amortize the per-datagram syscall across the burst, and the default
-  // deliver_many preserves the old per-message delivery order exactly.
-  std::vector<Bytes> datagrams(pending.sealed.size());
-  {
-    const StageScope scope(Stage::kSerialize);
-    for (std::size_t i = 0; i < pending.sealed.size(); ++i) {
-      datagrams[i] = rekey::Datagram{rekey::MessageType::kRekey,
-                                     pending.sealed[i].wire, extension}
-                         .encode();
-      op.bytes += datagrams[i].size();
-      op.min_message = std::min(op.min_message, datagrams[i].size());
-      op.max_message = std::max(op.max_message, datagrams[i].size());
-    }
-  }
-  {
-    const StageScope scope(Stage::kSend);
-    std::vector<transport::ServerTransport::OutboundDatagram> items;
-    items.reserve(pending.sealed.size());
-    for (std::size_t i = 0; i < pending.sealed.size(); ++i) {
-      const rekey::Recipient to = pending.sealed[i].to;
-      // Resolve fan-out on the plan-time view: identical to the live tree
-      // in a sequential run, and immune to concurrent mutations between
-      // plan and dispatch under the locked facade.
-      items.push_back({to, datagrams[i], [view = pending.view, to] {
-                         return to.kind == rekey::Recipient::Kind::kUser
-                                    ? std::vector<UserId>{to.user}
-                                    : view->resolve_subgroup(to.include,
-                                                             to.exclude);
-                       }});
-    }
-    transport_.deliver_many(items);
-  }
-  if (remember) {
-    for (std::size_t i = 0; i < pending.sealed.size(); ++i) {
-      stored.push_back(rekey::StoredDatagram{pending.sealed[i].to,
-                                             std::move(datagrams[i])});
-    }
-  }
-  if (remember) {
-    retransmit_.record(pending.plan.messages.front().header.epoch,
-                       pending.view, std::move(stored));
-  }
-  if (op.messages == 0) op.min_message = 0;
   op.processing_us = std::chrono::duration<double, std::micro>(
                          std::chrono::steady_clock::now() - pending.started)
                          .count();
@@ -729,8 +457,8 @@ void GroupKeyServer::dispatch(PendingRekey&& pending) {
   }
   stats_.record(op);
   // Periodic compaction, keyed off this op's own view so the snapshot
-  // epoch matches the last journaled record even when a concurrent plan
-  // has already advanced the tree (locked facade).
+  // epoch matches the last journaled record even when a later plan has
+  // already advanced the tree.
   if (durable_ != nullptr && pending.commit != nullptr &&
       durable_->snapshot_due()) {
     ByteWriter writer;
@@ -738,21 +466,6 @@ void GroupKeyServer::dispatch(PendingRekey&& pending) {
     writer.var_bytes(pending.view->serialize());
     durable_->compact(pending.view->epoch(), writer.take());
   }
-}
-
-Bytes GroupKeyServer::sealed_digest(
-    const std::vector<rekey::SealedRekey>& sealed) {
-  crypto::Sha256 digest;
-  for (const rekey::SealedRekey& message : sealed) {
-    digest.update(message.wire);
-  }
-  return digest.finish();
-}
-
-void GroupKeyServer::commit_to_journal(PendingRekey& pending) {
-  if (pending.commit == nullptr || durable_ == nullptr) return;
-  pending.commit->sealed_digest = sealed_digest(pending.sealed);
-  durable_->append(*pending.commit);
 }
 
 Bytes GroupKeyServer::snapshot() const {
@@ -791,140 +504,38 @@ void GroupKeyServer::restore(BytesView snapshot) {
 
 void GroupKeyServer::recover_from_storage(
     const storage::RecoveryOptions& options) {
-  if (durable_ == nullptr) {
-    throw storage::StorageError(
-        "recover_from_storage: storage is not configured");
-  }
-  storage::RecoveredLog log = durable_->load(options);
+  storage::RecoveredLog log = detail::load_journal(durable_.get(), options);
   if (log.snapshot) restore(*log.snapshot);
   for (const storage::JournalRecord& record : log.records) {
     replay_record(record, options);
   }
-  if (telemetry::enabled()) {
-    static auto& replay_ops = telemetry::Registry::global().counter(
-        "storage.replay_ops", "journal records replayed during recovery");
-    replay_ops.add(log.records.size());
-    telemetry::ConvergenceMonitor::global().restart_from(epoch_);
-  }
+  detail::note_recovered(log.records.size(), epoch_);
 }
-
-namespace {
-
-/// Saves and force-sets a flag for one scope (exception-safe), restoring
-/// the caller's value on exit — the standby keeps replaying_ latched
-/// across many replay_record calls.
-class ScopedFlag {
- public:
-  explicit ScopedFlag(bool& flag) : flag_(flag), saved_(flag) { flag_ = true; }
-  ~ScopedFlag() { flag_ = saved_; }
-  ScopedFlag(const ScopedFlag&) = delete;
-  ScopedFlag& operator=(const ScopedFlag&) = delete;
-
- private:
-  bool& flag_;
-  bool saved_;
-};
-
-}  // namespace
 
 void GroupKeyServer::replay_record(const storage::JournalRecord& record,
                                    const storage::RecoveryOptions& options) {
-  const ScopedFlag replaying(replaying_);
+  const detail::ScopedFlag replaying(replaying_);
   pinned_clock_us_ = record.timestamp_us;
-  try {
+  detail::as_divergence([&] {
     PendingRekey pending;
     {
       // Every plan-phase rng draw is served from the journaled tape; a
-      // tape that runs short throws inside the drawing code, and leftover
-      // bytes below mean the replayed plan did less work than the
-      // original — either way, divergence.
+      // tape that runs short throws inside the drawing code.
       const crypto::RngTape tape(rng_, record.rng_tape);
-      switch (record.kind) {
-        case storage::OpKind::kJoin: {
-          if (record.joins.size() != 1 || !record.leaves.empty()) {
-            throw storage::ReplayDivergenceError(
-                "replay: malformed join record at epoch " +
-                std::to_string(record.epoch));
-          }
-          const JoinResult result = plan_join(record.joins.front(), pending);
-          if (result != JoinResult::kGranted) {
-            throw storage::ReplayDivergenceError(
-                "replay: journaled join of user " +
-                std::to_string(record.joins.front()) + " not granted (epoch " +
-                std::to_string(record.epoch) + ")");
-          }
-          break;
-        }
-        case storage::OpKind::kLeave: {
-          if (record.leaves.size() != 1 || !record.joins.empty()) {
-            throw storage::ReplayDivergenceError(
-                "replay: malformed leave record at epoch " +
-                std::to_string(record.epoch));
-          }
-          plan_leave(record.leaves.front(), pending);
-          break;
-        }
-        case storage::OpKind::kBatch: {
-          const std::vector<UserId> admitted =
-              plan_batch(record.joins, record.leaves, pending);
-          if (admitted != record.joins) {
-            throw storage::ReplayDivergenceError(
-                "replay: batch at epoch " + std::to_string(record.epoch) +
-                " admitted a different join set than the journal");
-          }
-          break;
-        }
-        case storage::OpKind::kPreload:
-          throw storage::ReplayDivergenceError(
-              "replay: preload record in a single-tree journal");
-      }
-      if (tape.remaining() != 0) {
-        throw storage::ReplayDivergenceError(
-            "replay: epoch " + std::to_string(record.epoch) + " left " +
-            std::to_string(tape.remaining()) + " rng tape bytes unread");
-      }
+      detail::replay_plan(
+          record, [&](UserId user) { return plan_join(user, pending); },
+          [&](UserId user) { plan_leave(user, pending); },
+          [&](const std::vector<UserId>& joins,
+              const std::vector<UserId>& leaves) {
+            return plan_batch(joins, leaves, pending);
+          });
+      detail::expect_drained(tape, "lane", record);
     }
-    if (epoch_ != record.epoch) {
-      throw storage::ReplayDivergenceError(
-          "replay: operation advanced to epoch " + std::to_string(epoch_) +
-          " but the journal recorded " + std::to_string(record.epoch));
-    }
+    detail::expect_epoch(epoch_, record);
     seal(pending);
-    absorb_replayed(std::move(pending), record, options);
-  } catch (const storage::StorageError&) {
-    throw;
-  } catch (const Error& error) {
-    // Plan/seal failures during replay (bad auth_master, wrong config,
-    // tape exhaustion) all mean the same thing: this process cannot
-    // reproduce the journaled state.
-    throw storage::ReplayDivergenceError(std::string("replay: ") +
-                                         error.what());
-  }
-}
-
-void GroupKeyServer::absorb_replayed(PendingRekey&& pending,
-                                     const storage::JournalRecord& record,
-                                     const storage::RecoveryOptions& options) {
-  if (options.verify_digests &&
-      sealed_digest(pending.sealed) != record.sealed_digest) {
-    throw storage::ReplayDivergenceError(
-        "replay: epoch " + std::to_string(record.epoch) +
-        " sealed bytes diverge from the journaled digest");
-  }
-  // No transport, no stats, no publish — but the retransmit window fills
-  // exactly as the original dispatch filled it, so a promoted standby
-  // serves NACKs for pre-failover epochs from warm sealed bytes.
-  if (!retransmit_.enabled() || pending.plan.messages.empty()) return;
-  std::vector<rekey::StoredDatagram> stored;
-  stored.reserve(pending.sealed.size());
-  for (const rekey::SealedRekey& sealed : pending.sealed) {
-    Bytes datagram =
-        rekey::Datagram{rekey::MessageType::kRekey, sealed.wire, std::nullopt}
-            .encode();
-    stored.push_back(rekey::StoredDatagram{sealed.to, std::move(datagram)});
-  }
-  retransmit_.record(pending.plan.messages.front().header.epoch, pending.view,
-                     std::move(stored));
+    detail::absorb_replayed(record, options, pending.sealed, pending.view, {},
+                            retransmit_);
+  });
 }
 
 std::vector<UserId> GroupKeyServer::resolve_subgroup(

@@ -6,8 +6,7 @@
 //
 //   plan     — admission, tree mutation, symbolic rekey planning (WrapOps
 //              with pre-drawn IVs), epoch advance and header stamping.
-//              The only phase that touches mutable group state; under
-//              LockedGroupKeyServer this is the whole critical section.
+//              The only phase that touches mutable group state.
 //   seal     — RekeyExecutor resolves the plan against its immutable key
 //              snapshot: all encryptions, digests and signatures, fanned
 //              across ServerConfig::seal_threads threads. Touches no
@@ -16,9 +15,10 @@
 //   dispatch — datagram framing, transport delivery in plan order, stats.
 //
 // join()/leave()/batch()/resync() run the three phases back to back; the
-// phase methods are public so a concurrent facade can overlap the seal
-// phases of different operations. The server measures itself the way the
-// paper's prototype did: processing time per request covering request
+// phase methods are public so a caller can time each one. The server is
+// single-threaded; ShardedGroupKeyServer (sharded_server.h) at K = 1 is
+// its concurrent, byte-identical counterpart. It measures itself the way
+// the paper's prototype did: processing time per request covering request
 // handling, tree update, key generation, encryption, digest/signature
 // computation, serialization and handoff to the send path — but never
 // authentication.
@@ -28,7 +28,6 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "crypto/random.h"
@@ -131,36 +130,8 @@ enum class NackOutcome : std::uint8_t {
   kRateLimited = 3,
 };
 
-/// Outcome of offering a request to the overload gate (offer_join /
-/// offer_leave). With overload disabled the gate always answers kAdmit
-/// and the caller runs the normal immediate-rekey path.
-struct GateResult {
-  overload::Admission action = overload::Admission::kAdmit;
-  /// For kShed: the retry-after hint to put on the kRetryLater reply.
-  std::uint64_t retry_after_us = 0;
-  /// The request failed validation (bad token, ACL rejection, leave from
-  /// a non-member): rejected outright, not shed and not admitted.
-  bool denied = false;
-};
-
-/// One degraded-mode flush: coalesced ops to run through batch() plus the
-/// buffered ops whose shed deadline passed (answer those with
-/// kRetryLater).
-struct DegradedFlush {
-  std::vector<UserId> joins;
-  std::vector<UserId> leaves;
-  std::vector<overload::ShedNotice> shed;
-  [[nodiscard]] bool has_work() const noexcept {
-    return !joins.empty() || !leaves.empty();
-  }
-};
-
-/// What one poll_overload() tick did.
-struct OverloadTick {
-  std::vector<overload::ShedNotice> shed;
-  std::vector<UserId> joined;
-  bool flushed = false;
-};
+using overload::GateResult;
+using overload::OverloadTick;
 
 class GroupKeyServer {
  public:
@@ -294,21 +265,9 @@ class GroupKeyServer {
   std::optional<NackOutcome> nack_with_token(UserId user, BytesView token,
                                              std::uint64_t have_epoch);
 
-  /// The rate-limit + window-replay half of handle_nack: kRateLimited,
-  /// kRetransmitted, or nullopt when the gap has left the window and the
-  /// caller must fall back to a resync (the fallback is counted here).
-  /// Touches only dispatch-phase state — LockedGroupKeyServer calls this
-  /// under dispatch_mutex_ and routes the fallback through its own
-  /// sequenced resync path.
-  std::optional<NackOutcome> try_retransmit(UserId user,
-                                            std::uint64_t have_epoch);
-
   // --- Overload control (server/overload.h) ---------------------------
-  // The offer/flush paths mutate the same coalesce buffers the plan
-  // phase's state lives next to, so they must be externally serialized
-  // with the plan_* mutators (LockedGroupKeyServer runs them under its
-  // plan mutex). With config.overload.enabled == false every offer
-  // answers kAdmit and the caller runs the usual immediate path.
+  // With config.overload.enabled == false every offer answers kAdmit and
+  // the caller runs the usual immediate path.
 
   /// Gates one join request. Validates the token and ACL first (bad
   /// requests are denied without consuming a queue slot), then asks the
@@ -320,30 +279,18 @@ class GroupKeyServer {
   /// Gates one leave request (same contract as offer_join).
   GateResult offer_leave(UserId user, BytesView token);
 
-  /// Drains the coalesce buffers when the batch tick is due (or the queue
-  /// hit its bound): membership-filtered join/leave lists for batch(),
-  /// plus deadline-expired ops to shed. Empty when nothing is due.
-  DegradedFlush take_degraded_flush();
-
-  /// Feeds the accumulated pressure signals (sheds, queue depth,
-  /// convergence lag) into the HealthMonitor and applies its transition
-  /// rules. Returns the resulting state.
-  overload::HealthState evaluate_overload();
-
-  /// Convenience tick for single-threaded deployments: re-evaluates
-  /// health and, when a flush is due, runs it through batch(). Call
+  /// Degraded-mode tick: re-evaluates health and, when the batch tick is
+  /// due (or the queue hit its bound), runs the buffered ops through one
+  /// batch() and returns the deadline-expired ones to shed. Call
   /// periodically (e.g. every receive-loop pass).
   OverloadTick poll_overload();
 
   /// Current overload health (kHealthy whenever overload is off).
   [[nodiscard]] overload::HealthState health() const {
-    return health_.state();
+    return gate_.health();
   }
   [[nodiscard]] overload::AdmissionController& admission() noexcept {
-    return gate_;
-  }
-  [[nodiscard]] overload::HealthMonitor& health_monitor() noexcept {
-    return health_;
+    return gate_.admission();
   }
 
   /// The retransmit window, for introspection in tests and tools.
@@ -409,22 +356,19 @@ class GroupKeyServer {
                    rekey::RekeyKind op_kind, rekey::RekeyKind wire_kind,
                    const std::vector<KeyId>& obsolete, bool advance_epoch,
                    const telemetry::StageCollector& stages);
+  /// The shared body of plan_join/plan_leave/plan_batch once admission has
+  /// run: records the rng tape, traces, mutates the tree under the next
+  /// epoch's label with `mutate`, plans the record with `plan`, finishes
+  /// the plan and builds the journal record of `joins`/`leaves`. Departed
+  /// members' convergence gauges drop.
+  template <typename Mutate, typename Plan>
+  void plan_mutation(PendingRekey& pending,
+                     const telemetry::StageCollector& stages,
+                     rekey::RekeyKind kind, storage::OpKind journal_kind,
+                     const std::vector<UserId>& joins,
+                     const std::vector<UserId>& leaves, Mutate&& mutate,
+                     Plan&& plan);
   [[nodiscard]] std::uint64_t now_us() const;
-  /// Stamps a fresh trace context on `pending` when trace propagation and
-  /// telemetry are both on (no-op otherwise).
-  void begin_trace(PendingRekey& pending, rekey::RekeyKind kind);
-  /// Digest over the concatenated sealed wire bytes — the journal's
-  /// replay-divergence check value.
-  [[nodiscard]] static Bytes sealed_digest(
-      const std::vector<rekey::SealedRekey>& sealed);
-  /// Journals pending.commit (if any) durably; called by dispatch() before
-  /// the first datagram leaves.
-  void commit_to_journal(PendingRekey& pending);
-  /// Post-seal half of replay: verifies the digest and rehydrates the
-  /// retransmit window (no transport, no stats, no publish).
-  void absorb_replayed(PendingRekey&& pending,
-                       const storage::JournalRecord& record,
-                       const storage::RecoveryOptions& options);
 
   ServerConfig config_;
   transport::ServerTransport& transport_;
@@ -438,8 +382,7 @@ class GroupKeyServer {
   std::unique_ptr<rekey::RekeySealer> sealer_;
   ServerStats stats_;
   std::uint64_t epoch_ = 0;
-  /// Dispatch-phase state (recorded in dispatch(), read by handle_nack):
-  /// under LockedGroupKeyServer both run behind dispatch_mutex_.
+  /// Dispatch-phase state (recorded in dispatch(), read by handle_nack).
   rekey::RetransmitWindow retransmit_;
   rekey::RecoveryLimiter limiter_;
   /// Write-ahead journal; null when config_.storage is disabled.
@@ -451,22 +394,8 @@ class GroupKeyServer {
   bool replaying_ = false;
   std::uint64_t pinned_clock_us_ = 0;
 
-  // Overload-control state. The gate and monitor are internally
-  // synchronized; the coalesce buffers below follow the plan-phase
-  // serialization contract (see the offer_* docs).
-  overload::AdmissionController gate_;
-  overload::HealthMonitor health_;
-  enum class BufferedKind : std::uint8_t { kJoin, kLeave };
-  struct BufferedOp {
-    UserId user = 0;
-    std::uint64_t offered_us = 0;
-  };
-  /// Invariant: a user appears at most once across both buffers (the map
-  /// is the index; conflicting offers are shed, duplicates deduped).
-  std::unordered_map<UserId, BufferedKind> buffered_;
-  std::vector<BufferedOp> buffered_joins_;
-  std::vector<BufferedOp> buffered_leaves_;
-  std::uint64_t next_flush_us_ = 0;
+  /// Overload control, one lane.
+  overload::Gate gate_;
 
   friend class StandbyServer;
 };

@@ -1,9 +1,9 @@
 // The sharded group key server: per-shard arenas and seal pipelines under
 // a thin root layer, for groups far past one tree's mutation throughput.
 //
-// The single-tree servers (server.h, locked_server.h) serialize every
-// membership operation on one key tree and one rng. This server partitions
-// the user population across K subtree shards (keygraph/sharded_tree.h):
+// GroupKeyServer (server.h) serializes every membership operation on one
+// key tree and one rng, on one thread. This server partitions the user
+// population across K subtree shards (keygraph/sharded_tree.h):
 // each shard owns its own arena-backed KeyTree, its own deterministic rng,
 // its own RekeyExecutor seal lane with a private wrapping-key schedule
 // cache, and its own mutex — a leaf join/leave locks exactly one shard and
@@ -18,7 +18,10 @@
 //                same fixpoint pass), and broadcasts one tiny
 //                G-under-shard-root message to each other shard. At K = 1
 //                the layer vanishes: the shard root IS the group key and
-//                the wire bytes are byte-identical to GroupKeyServer.
+//                the wire bytes are byte-identical to GroupKeyServer,
+//                so K = 1 is the concurrent single-tree server: plan
+//                under the lane mutex, seal unlocked, dispatch in ticket
+//                order, resync lock-free on an acquired view.
 //   epochs     — one global epoch counter stitches the K per-shard update
 //                streams into the single total order the client recovery
 //                machinery (PR 5) and fleet convergence SLOs (PR 6)
@@ -47,7 +50,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "keygraph/sharded_tree.h"
@@ -113,8 +115,8 @@ class ShardedGroupKeyServer {
   // --- Overload control (server/overload.h) -----------------------------
   // One admission lane per shard: a flash crowd hashing into one shard
   // (or one slow shard's open circuit breaker) sheds there without
-  // touching its siblings. The coalesce buffers live under their own
-  // overload mutex — offers never take a lane or root mutex.
+  // touching its siblings. The gate is internally synchronized — offers
+  // never take a lane or root mutex.
 
   /// Gates one join (see GroupKeyServer::offer_join for the contract).
   GateResult offer_join(UserId user, BytesView token);
@@ -126,13 +128,10 @@ class ShardedGroupKeyServer {
   OverloadTick poll_overload();
 
   [[nodiscard]] overload::HealthState health() const {
-    return health_->state();
+    return gate_.health();
   }
   [[nodiscard]] overload::AdmissionController& admission() noexcept {
-    return *gate_;
-  }
-  [[nodiscard]] overload::HealthMonitor& health_monitor() noexcept {
-    return *health_;
+    return gate_.admission();
   }
 
   // --- Durable state (write-ahead journal) ------------------------------
@@ -207,7 +206,8 @@ class ShardedGroupKeyServer {
     std::uint64_t epoch = 0;  // global ticket; 0 = unsequenced (resync)
     std::size_t shard = 0;
     std::size_t fleet = 0;  // total users at epoch allocation
-    std::uint64_t trace_id = 0;
+    /// Inactive unless trace propagation is on; carried on every datagram.
+    telemetry::TraceContext trace{};
     /// Header timestamp stamped by stitch (journaled, pinned on replay).
     std::uint64_t timestamp_us = 0;
     /// Root-layer rng draws captured inside stitch's critical section.
@@ -228,6 +228,17 @@ class ShardedGroupKeyServer {
   std::vector<UserId> plan_batch_locked(
       std::size_t shard, const std::vector<UserId>& join_users,
       const std::vector<UserId>& leave_users, Pending& pending);
+  /// The shared body of the plan_*_locked mutators once admission has
+  /// run: records the lane-rng tape, mutates the shard tree with `mutate`,
+  /// plans the record with `plan`, stitches it and builds the journal
+  /// record of `joins`/`leaves`. Departed members' convergence gauges
+  /// drop. Caller holds lanes_[shard]->mutex.
+  template <typename Mutate, typename Plan>
+  void plan_locked(std::size_t shard, Pending& pending,
+                   rekey::RekeyKind kind, storage::OpKind journal_kind,
+                   const std::vector<UserId>& joins,
+                   const std::vector<UserId>& leaves, Mutate&& mutate,
+                   Plan&& plan);
   /// Allocates the global epoch, refreshes the root layer, stamps headers
   /// and appends the shared-key ops/broadcasts. Caller holds the lane
   /// mutex; takes root_mutex_ internally. On exception the allocated
@@ -243,14 +254,7 @@ class ShardedGroupKeyServer {
   void dispatch_locked(Lane& lane, Pending& pending, double seal_us);
   /// Skips ticket `epoch` in the dispatch sequence (failed operation).
   void retire(std::uint64_t epoch);
-  std::optional<NackOutcome> try_retransmit_locked(UserId user,
-                                                   std::uint64_t have_epoch);
   [[nodiscard]] SymmetricKey shared_key_locked() const;  // root_mutex_ held
-  /// Digest-checks a replayed op, advances the dispatch cursor past its
-  /// ticket, and refills the retransmit window — no transport, no stats.
-  void absorb_replayed(Pending&& pending,
-                       const storage::JournalRecord& record,
-                       const storage::RecoveryOptions& options);
 
   ShardedServerConfig config_;
   transport::ServerTransport& transport_;
@@ -289,24 +293,8 @@ class ShardedGroupKeyServer {
   telemetry::Gauge* fleet_epoch_ = nullptr;
   telemetry::Gauge* fleet_seal_us_ = nullptr;
 
-  // Overload control: K admission lanes plus per-shard coalesce buffers.
-  // overload_mutex_ guards the buffers only and nests inside nothing —
-  // poll_overload() drops it before calling batch().
-  struct CoalescedOp {
-    UserId user = 0;
-    std::uint64_t offered_us = 0;
-  };
-  struct ShardBuffer {
-    std::vector<CoalescedOp> joins;
-    std::vector<CoalescedOp> leaves;
-  };
-  std::unique_ptr<overload::AdmissionController> gate_;
-  std::unique_ptr<overload::HealthMonitor> health_;
-  std::mutex overload_mutex_;
-  std::vector<ShardBuffer> buffers_;
-  /// user -> is-join; a user is buffered at most once across all shards.
-  std::unordered_map<UserId, bool> buffered_;
-  std::uint64_t next_flush_us_ = 0;
+  /// Overload control: one admission lane per shard.
+  overload::Gate gate_;
 };
 
 }  // namespace keygraphs::server

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "client/client.h"
@@ -14,9 +15,9 @@
 #include "common/io.h"
 #include "rekey/message.h"
 #include "rekey/strategy.h"
-#include "server/locked_server.h"
 #include "server/overload.h"
 #include "server/server.h"
+#include "server/sharded_server.h"
 #include "server/spec.h"
 #include "telemetry/metrics.h"
 #include "transport/inproc.h"
@@ -171,13 +172,37 @@ TEST(HealthMonitorTest, SloLagPressureEntersDegraded) {
   EXPECT_EQ(monitor.evaluate(1), HealthState::kDegraded);
 }
 
+// Every server-level case runs against both server classes: the gate is
+// one shared implementation, and ShardedGroupKeyServer at K = 1 must
+// behave exactly like GroupKeyServer.
+template <typename Server>
+std::unique_ptr<Server> make_server(const server::ServerConfig& config,
+                                    transport::ServerTransport& network) {
+  if constexpr (std::is_same_v<Server, server::GroupKeyServer>) {
+    return std::make_unique<Server>(config, network);
+  } else {
+    return std::make_unique<Server>(server::ShardedServerConfig{config, 1},
+                                    network);
+  }
+}
+
+template <typename Server>
+bool is_member(const Server& server, UserId user) {
+  if constexpr (std::is_same_v<Server, server::GroupKeyServer>) {
+    return server.tree_view()->has_user(user);
+  } else {
+    return server.has_member(user);
+  }
+}
+
 // A server pinned into degraded mode (degrade_queue_fraction = 0 makes
 // every evaluate land at least at level 1) on a manual clock.
+template <typename Server>
 struct DegradedServer {
   std::uint64_t now_us = 1'000'000;
   server::ServerConfig config;
   transport::InProcNetwork network;
-  std::unique_ptr<server::GroupKeyServer> server;
+  std::unique_ptr<Server> server;
 
   explicit DegradedServer(UserId members) {
     config.rng_seed = 7;
@@ -187,18 +212,25 @@ struct DegradedServer {
     config.overload.degraded_batch_period_us = 100'000;
     config.overload.shed_deadline_us = 250'000;
     config.overload.degrade_queue_fraction = 0.0;  // pinned degraded
-    server = std::make_unique<server::GroupKeyServer>(config, network);
+    server = make_server<Server>(config, network);
     for (UserId user = 1; user <= members; ++user) server->join(user);
-    server->evaluate_overload();
+    (void)server->poll_overload();  // evaluates into degraded
   }
 
   Bytes join_token(UserId user) { return server->auth().join_token(user); }
   Bytes leave_token(UserId user) { return server->auth().leave_token(user); }
 };
 
-TEST(ServerOverloadTest, DegradedJoinsCoalesceIntoOneBatchFlush) {
-  DegradedServer fixture(8);
-  server::GroupKeyServer& server = *fixture.server;
+template <typename Server>
+class ServerOverloadTest : public ::testing::Test {};
+
+using ServerTypes =
+    ::testing::Types<server::GroupKeyServer, server::ShardedGroupKeyServer>;
+TYPED_TEST_SUITE(ServerOverloadTest, ServerTypes);
+
+TYPED_TEST(ServerOverloadTest, DegradedJoinsCoalesceIntoOneBatchFlush) {
+  DegradedServer<TypeParam> fixture(8);
+  TypeParam& server = *fixture.server;
   ASSERT_EQ(server.health(), HealthState::kDegraded);
   const std::uint64_t epoch_before = server.epoch();
 
@@ -214,7 +246,7 @@ TEST(ServerOverloadTest, DegradedJoinsCoalesceIntoOneBatchFlush) {
 
   // Nothing rekeys until the batch tick: five ops, zero epochs so far.
   EXPECT_EQ(server.epoch(), epoch_before);
-  EXPECT_FALSE(server.tree_view()->has_user(100));
+  EXPECT_FALSE(is_member(server, 100));
 
   fixture.now_us += fixture.config.overload.degraded_batch_period_us;
   const server::OverloadTick tick = server.poll_overload();
@@ -225,14 +257,14 @@ TEST(ServerOverloadTest, DegradedJoinsCoalesceIntoOneBatchFlush) {
   // One coalesced batch: all five ops cost a single epoch.
   EXPECT_EQ(server.epoch(), epoch_before + 1);
   for (UserId user = 100; user < 104; ++user) {
-    EXPECT_TRUE(server.tree_view()->has_user(user));
+    EXPECT_TRUE(is_member(server, user));
   }
-  EXPECT_FALSE(server.tree_view()->has_user(3));
+  EXPECT_FALSE(is_member(server, 3));
 }
 
-TEST(ServerOverloadTest, DuplicateAndConflictingOffers) {
-  DegradedServer fixture(8);
-  server::GroupKeyServer& server = *fixture.server;
+TYPED_TEST(ServerOverloadTest, DuplicateAndConflictingOffers) {
+  DegradedServer<TypeParam> fixture(8);
+  TypeParam& server = *fixture.server;
 
   ASSERT_EQ(server.offer_join(200, fixture.join_token(200)).action,
             Admission::kCoalesce);
@@ -261,9 +293,9 @@ TEST(ServerOverloadTest, DuplicateAndConflictingOffers) {
   EXPECT_EQ(server.admission().depth(0), 1u);
 }
 
-TEST(ServerOverloadTest, DeadlineExpiredOpsAreShedAtFlush) {
-  DegradedServer fixture(8);
-  server::GroupKeyServer& server = *fixture.server;
+TYPED_TEST(ServerOverloadTest, DeadlineExpiredOpsAreShedAtFlush) {
+  DegradedServer<TypeParam> fixture(8);
+  TypeParam& server = *fixture.server;
 
   ASSERT_EQ(server.offer_join(400, fixture.join_token(400)).action,
             Admission::kCoalesce);
@@ -276,12 +308,14 @@ TEST(ServerOverloadTest, DeadlineExpiredOpsAreShedAtFlush) {
   EXPECT_EQ(tick.shed[0].user, 400u);
   EXPECT_TRUE(tick.shed[0].join);
   EXPECT_GT(tick.shed[0].retry_after_us, 0u);
-  EXPECT_FALSE(server.tree_view()->has_user(400));
+  EXPECT_FALSE(is_member(server, 400));
   // The queue slot was returned.
   EXPECT_EQ(server.admission().depth(0), 0u);
 }
 
-TEST(ServerOverloadTest, LockedFacadeFlushesThroughTicketPipeline) {
+// A coalesced flush goes through the server's own batch path — on the
+// concurrent server, the ticket-ordered seal/dispatch pipeline.
+TYPED_TEST(ServerOverloadTest, FlushesThroughTheBatchPipeline) {
   std::uint64_t now_us = 1'000'000;
   server::ServerConfig config;
   config.rng_seed = 11;
@@ -290,22 +324,46 @@ TEST(ServerOverloadTest, LockedFacadeFlushesThroughTicketPipeline) {
   config.overload.degrade_queue_fraction = 0.0;
   config.overload.degraded_batch_period_us = 50'000;
   transport::InProcNetwork network;
-  server::LockedGroupKeyServer locked(config, network);
-  for (UserId user = 1; user <= 4; ++user) locked.join(user);
+  const auto server = make_server<TypeParam>(config, network);
+  for (UserId user = 1; user <= 4; ++user) server->join(user);
 
-  locked.poll_overload();  // evaluates into degraded
-  ASSERT_EQ(locked.health(), HealthState::kDegraded);
-  const Bytes token = locked.auth().join_token(77);
-  EXPECT_EQ(locked.offer_join(77, token).action, Admission::kCoalesce);
+  server->poll_overload();  // evaluates into degraded
+  ASSERT_EQ(server->health(), HealthState::kDegraded);
+  const Bytes token = server->auth().join_token(77);
+  EXPECT_EQ(server->offer_join(77, token).action, Admission::kCoalesce);
   now_us += 50'000;
-  const server::OverloadTick tick = locked.poll_overload();
+  const server::OverloadTick tick = server->poll_overload();
   EXPECT_TRUE(tick.flushed);
   ASSERT_EQ(tick.joined.size(), 1u);
   EXPECT_EQ(tick.joined[0], 77u);
-  EXPECT_TRUE(locked.has_member(77));
+  EXPECT_TRUE(is_member(*server, 77));
 }
 
-TEST(ServerOverloadTest, OverloadOffProducesIdenticalWireBytes) {
+/// Every datagram `run` makes the server send to users 1..8, in order.
+template <typename Server, typename Run>
+std::vector<Bytes> capture_wire(server::ServerConfig config, Run run) {
+  transport::InProcNetwork network;
+  const auto server = make_server<Server>(config, network);
+  std::vector<Bytes> captured;
+  for (UserId user = 1; user <= 8; ++user) {
+    network.attach_client(user, [&captured](BytesView datagram) {
+      captured.emplace_back(datagram.begin(), datagram.end());
+    });
+  }
+  run(*server);
+  return captured;
+}
+
+void expect_same_datagrams(const std::vector<Bytes>& a,
+                           const std::vector<Bytes>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  ASSERT_FALSE(a.empty());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i], b[i]) << "datagram " << i << " diverged";
+  }
+}
+
+TYPED_TEST(ServerOverloadTest, OverloadOffProducesIdenticalWireBytes) {
   // Same seed, same pinned clock, same operations: the gated server in
   // its healthy state must emit byte-identical datagrams to the ungated
   // one, so overload=off (and healthy overload=on) leaves goldens intact.
@@ -314,34 +372,49 @@ TEST(ServerOverloadTest, OverloadOffProducesIdenticalWireBytes) {
     config.rng_seed = 42;
     config.clock_us = [] { return std::uint64_t{5'000'000}; };
     config.overload.enabled = overload_on;
-    transport::InProcNetwork network;
-    server::GroupKeyServer server(config, network);
-    std::vector<Bytes> captured;
-    for (UserId user = 1; user <= 6; ++user) {
-      network.attach_client(user, [&captured](BytesView datagram) {
-        captured.emplace_back(datagram.begin(), datagram.end());
-      });
-    }
-    for (UserId user = 1; user <= 5; ++user) {
-      const Bytes token = server.auth().join_token(user);
-      if (overload_on) {
-        const server::GateResult gate = server.offer_join(user, token);
-        EXPECT_EQ(gate.action, Admission::kAdmit);
+    return capture_wire<TypeParam>(config, [overload_on](TypeParam& server) {
+      for (UserId user = 1; user <= 5; ++user) {
+        const Bytes token = server.auth().join_token(user);
+        if (overload_on) {
+          const server::GateResult gate = server.offer_join(user, token);
+          EXPECT_EQ(gate.action, Admission::kAdmit);
+        }
+        EXPECT_EQ(server.join_with_token(user, token),
+                  server::JoinResult::kGranted);
       }
-      EXPECT_EQ(server.join_with_token(user, token),
-                server::JoinResult::kGranted);
-    }
-    server.leave(3);
-    return captured;
+      server.leave(3);
+    });
   };
+  expect_same_datagrams(run(true), run(false));
+}
 
-  const std::vector<Bytes> gated = run(true);
-  const std::vector<Bytes> ungated = run(false);
-  ASSERT_EQ(gated.size(), ungated.size());
-  ASSERT_FALSE(gated.empty());
-  for (std::size_t i = 0; i < gated.size(); ++i) {
-    EXPECT_EQ(gated[i], ungated[i]) << "datagram " << i << " diverged";
-  }
+// One degraded flush — coalesced joins and a leave, plus a deadline shed —
+// emits the same bytes from both servers at K = 1.
+TEST(OverloadParityTest, DegradedFlushIsByteIdenticalAcrossServers) {
+  std::uint64_t now_us = 1'000'000;
+  server::ServerConfig config;
+  config.rng_seed = 9;
+  config.clock_us = [&now_us] { return now_us; };
+  config.overload.enabled = true;
+  config.overload.degrade_queue_fraction = 0.0;  // pinned degraded
+  const auto run = [&](auto& server) {
+    now_us = 1'000'000;
+    for (UserId user = 1; user <= 6; ++user) server.join(user);
+    server.poll_overload();
+    ASSERT_EQ(server.health(), HealthState::kDegraded);
+    for (UserId user = 7; user <= 8; ++user) {
+      ASSERT_EQ(server.offer_join(user, server.auth().join_token(user)).action,
+                Admission::kCoalesce);
+    }
+    ASSERT_EQ(server.offer_leave(2, server.auth().leave_token(2)).action,
+              Admission::kCoalesce);
+    now_us += config.overload.degraded_batch_period_us;
+    const server::OverloadTick tick = server.poll_overload();
+    ASSERT_TRUE(tick.flushed);
+    EXPECT_EQ(tick.joined, (std::vector<UserId>{7, 8}));
+  };
+  expect_same_datagrams(capture_wire<server::GroupKeyServer>(config, run),
+                        capture_wire<server::ShardedGroupKeyServer>(config, run));
 }
 
 TEST(RetryLaterWireTest, RoundTripsThroughDatagramCodec) {

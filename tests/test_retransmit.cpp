@@ -8,8 +8,8 @@
 
 #include "client/client.h"
 #include "common/error.h"
-#include "server/locked_server.h"
 #include "server/server.h"
+#include "server/sharded_server.h"
 #include "transport/inproc.h"
 
 namespace keygraphs {
@@ -207,17 +207,20 @@ TEST(Retransmit, NackRequiresMembershipAndToken) {
           .has_value());
 }
 
-TEST(Retransmit, LockedServerServesNacks) {
+// The concurrent server (ShardedGroupKeyServer at K = 1) serves the replay
+// half under its dispatch mutex and falls back through its lock-free
+// resync path.
+TEST(Retransmit, ConcurrentServerServesNacks) {
   std::uint64_t now = 1'000'000;
   server::ServerConfig config = base_config(&now);
   config.retransmit_window = 1;  // force the resync fallback on a 2-gap
   transport::InProcNetwork network;
-  server::LockedGroupKeyServer server(config, network);
+  server::ShardedGroupKeyServer server({config, 1}, network);
 
   client::ClientConfig member_config;
   member_config.user = 2;
   member_config.suite = config.suite;
-  member_config.root = server.tree_view()->root_id();
+  member_config.root = server.root_id();
   member_config.verify = false;
   client::GroupClient victim(member_config, nullptr);
   victim.install_individual_key(SymmetricKey{
@@ -247,8 +250,7 @@ TEST(Retransmit, LockedServerServesNacks) {
   ASSERT_TRUE(outcome.has_value());
   EXPECT_EQ(*outcome, server::NackOutcome::kResynced);
   EXPECT_EQ(victim.applied_epoch(), server.epoch());
-  EXPECT_EQ(victim.group_key()->secret,
-            server.tree_view()->group_key().secret);
+  EXPECT_EQ(victim.group_key()->secret, server.group_key().secret);
 
   // Caught up again: the next NACK is served straight from the window.
   const auto cheap = server.nack_with_token(

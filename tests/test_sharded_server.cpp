@@ -176,6 +176,33 @@ TEST(ShardedIdentity, SealThreadsDoNotChangeWire) {
   expect_same_wire(serial_wire.sent(), parallel_wire.sent());
 }
 
+// Two NACKs at K = 1 — one inside the retransmit window, one whose gap has
+// left it and falls back to a resync — emit the same datagrams from both
+// servers.
+TEST(ShardedIdentity, NacksInAndOutOfWindow) {
+  server::ServerConfig base = signed_base(rekey::StrategyKind::kKeyOriented, 1);
+  base.retransmit_window = 2;
+  const auto run = [](auto& server, const RecordingTransport& wire) {
+    run_churn(server);
+    const std::size_t before = wire.sent().size();
+    EXPECT_EQ(server.handle_nack(7, server.epoch() - 2),
+              server::NackOutcome::kRetransmitted);
+    EXPECT_GT(wire.sent().size(), before);
+    EXPECT_EQ(server.handle_nack(8, server.epoch() - 5),
+              server::NackOutcome::kResynced);
+  };
+
+  RecordingTransport flat_wire;
+  server::GroupKeyServer flat(base, flat_wire);
+  run(flat, flat_wire);
+
+  RecordingTransport sharded_wire;
+  server::ShardedGroupKeyServer sharded({base, 1}, sharded_wire);
+  run(sharded, sharded_wire);
+
+  expect_same_wire(flat_wire.sent(), sharded_wire.sent());
+}
+
 // --- K > 1 member convergence -----------------------------------------
 
 /// A member client wired to the in-proc network that applies everything

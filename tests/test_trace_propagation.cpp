@@ -13,6 +13,8 @@
 #include "common/error.h"
 #include "json_check.h"
 #include "server/server.h"
+#include "server/sharded_server.h"
+#include "storage/backend.h"
 #include "telemetry/convergence.h"
 #include "telemetry/export.h"
 #include "telemetry/metrics.h"
@@ -208,6 +210,60 @@ TEST(TracePropagation, ResyncRepliesCarryTheResyncKind) {
   EXPECT_EQ(raw.trace->op_kind,
             static_cast<std::uint8_t>(rekey::RekeyKind::kResync));
 }
+
+// The sharded server stamps a resync exactly as the single-tree server
+// does — a trace id, the current epoch, op_kind = kResync — and, like it,
+// draws no trace ids while replaying its journal.
+class ShardedTrace : public ::testing::TestWithParam<std::size_t> {
+ protected:
+  server::ShardedServerConfig config(bool durable) const {
+    server::ShardedServerConfig sharded;
+    sharded.shards = GetParam();
+    sharded.base.rng_seed = 7;
+    sharded.base.trace_propagation = true;
+    sharded.base.clock_us = [] { return std::uint64_t{1'000'000}; };
+    if (durable) {
+      sharded.base.storage.backend =
+          storage::make_memory_backend(sharded.shards);
+    }
+    return sharded;
+  }
+};
+
+TEST_P(ShardedTrace, ResyncCarriesTheTraceExtension) {
+  transport::InProcNetwork network;
+  server::ShardedGroupKeyServer server(config(/*durable=*/false), network);
+  for (UserId user = 1; user <= 8; ++user) server.join(user);
+  Bytes last;
+  network.attach_client(5, [&last](BytesView datagram) {
+    last.assign(datagram.begin(), datagram.end());
+  });
+  server.resync(5);
+
+  ASSERT_FALSE(last.empty());
+  const rekey::Datagram raw = rekey::Datagram::decode(last);
+  ASSERT_TRUE(raw.trace.has_value());
+  EXPECT_NE(raw.trace->trace_id, 0u);
+  EXPECT_EQ(raw.trace->epoch, server.epoch());
+  EXPECT_EQ(raw.trace->op_kind,
+            static_cast<std::uint8_t>(rekey::RekeyKind::kResync));
+}
+
+TEST_P(ShardedTrace, JournalReplayDrawsNoTraceIds) {
+  const server::ShardedServerConfig durable = config(/*durable=*/true);
+  transport::NullTransport transport;
+  server::ShardedGroupKeyServer primary(durable, transport);
+  for (UserId user = 1; user <= 8; ++user) primary.join(user);
+  primary.leave(3);
+
+  server::ShardedGroupKeyServer replica(durable, transport);
+  const std::uint64_t before = telemetry::next_trace_id();
+  replica.recover_from_storage();
+  EXPECT_EQ(telemetry::next_trace_id(), before + 1);
+  EXPECT_EQ(replica.epoch(), primary.epoch());
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, ShardedTrace, ::testing::Values(1, 4));
 
 TEST(TracePropagation, DisabledTelemetryStampsNoTrace) {
   telemetry::set_enabled(false);

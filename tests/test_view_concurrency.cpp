@@ -1,8 +1,9 @@
 // The RCU read path under real concurrency: readers acquire an immutable
 // TreeView and must run to completion — resync, snapshot, subgroup
 // resolution, membership reads — while a writer holds the group mutex, even
-// one parked indefinitely in the middle of planning. Runs under the TSan CI
-// job alongside the pipeline and locked-server suites.
+// one parked indefinitely in the middle of planning. The server is the
+// concurrent one, ShardedGroupKeyServer at K = 1. Runs under the TSan CI
+// job alongside the pipeline and server-concurrency suites.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,7 +13,7 @@
 
 #include "common/error.h"
 #include "keygraph/key_tree.h"
-#include "server/locked_server.h"
+#include "server/sharded_server.h"
 #include "transport/transport.h"
 
 namespace keygraphs::server {
@@ -25,9 +26,9 @@ Bytes ik(UserId user) {
   return key;
 }
 
-// A writer thread parks inside plan_join — holding the group mutex — by
-// blocking in the injected clock (finish_plan reads it exactly once per
-// plan, under the lock). Every read below must complete regardless.
+// A writer thread parks inside its join plan — holding the lane mutex — by
+// blocking in the injected clock (the plan reads it exactly once, under
+// the lock). Every read below must complete regardless.
 TEST(ViewConcurrency, ReaderCompletesWhileWriterParkedMidPlan) {
   transport::NullTransport transport;
   ServerConfig config;
@@ -50,7 +51,7 @@ TEST(ViewConcurrency, ReaderCompletesWhileWriterParkedMidPlan) {
     return 1234;  // fixed timestamp for every other plan
   };
 
-  LockedGroupKeyServer server(config, transport);
+  ShardedGroupKeyServer server({config, 1}, transport);
   for (UserId u = 1; u <= 8; ++u) {
     ASSERT_EQ(server.join(u), JoinResult::kGranted);
   }
@@ -65,10 +66,11 @@ TEST(ViewConcurrency, ReaderCompletesWhileWriterParkedMidPlan) {
     gate_cv.wait(lock, [&] { return writer_parked; });
   }
 
-  // The writer holds mutex_ inside plan_join. Its mutation has already
-  // published the next view (publication is the linearization point), so
-  // readers see the post-join epoch — and must never block on the writer.
-  const TreeViewPtr view = server.tree_view();
+  // The writer holds the lane mutex inside its plan. Its mutation has
+  // already published the next view (publication is the linearization
+  // point), so readers see the post-join epoch — and must never block on
+  // the writer.
+  const TreeViewPtr view = server.shard_view(0);
   EXPECT_EQ(view->epoch(), epoch_before + 1);
   EXPECT_EQ(server.member_count(), 9u);
   EXPECT_TRUE(server.has_member(100));
@@ -76,16 +78,16 @@ TEST(ViewConcurrency, ReaderCompletesWhileWriterParkedMidPlan) {
   EXPECT_EQ(server.group_key().secret, view->group_key().secret);
 
   const std::vector<UserId> everyone =
-      server.resolve_subgroup(view->root_id(), std::nullopt);
+      view->resolve_subgroup(view->root_id(), std::nullopt);
   EXPECT_EQ(everyone.size(), 9u);
 
-  // snapshot() serializes one consistent epoch view, lock-free.
-  const Bytes snap = server.snapshot();
+  // Serializing the acquired view yields one consistent epoch, lock-free.
+  const Bytes snap = view->serialize();
   EXPECT_FALSE(snap.empty());
 
   // A full resync — plan, seal, dispatch — completes while the writer is
-  // still parked: it plans on the acquired view and its ticket is next in
-  // sequence (the parked writer has not taken one yet).
+  // still parked: it plans on the acquired view and dispatches outside the
+  // epoch-ticket sequence.
   server.resync(5);
 
   {
@@ -97,33 +99,28 @@ TEST(ViewConcurrency, ReaderCompletesWhileWriterParkedMidPlan) {
 
   EXPECT_EQ(server.epoch(), epoch_before + 1);
   EXPECT_EQ(server.member_count(), 9u);
-  // The lock-free snapshot restores into an equivalent server.
-  transport::NullTransport transport2;
-  ServerConfig config2;
-  config2.rng_seed = 12;
-  LockedGroupKeyServer replica(config2, transport2);
-  replica.restore(snap);
-  EXPECT_EQ(replica.member_count(), 9u);
-  EXPECT_EQ(replica.epoch(), epoch_before + 1);
-  server.with_server([](const GroupKeyServer& inner) {
-    inner.tree().check_invariants();
-    return 0;
-  });
+  // The lock-free snapshot restores into an equivalent tree (deserialize
+  // validates every invariant), and the live tree is consistent too.
+  crypto::SecureRandom rng(12);
+  const std::unique_ptr<KeyTree> replica = KeyTree::deserialize(snap, rng);
+  EXPECT_EQ(replica->user_count(), 9u);
+  EXPECT_NO_THROW(
+      (void)KeyTree::deserialize(server.shard_view(0)->serialize(), rng));
 }
 
 // Sustained churn against concurrent lock-free readers: one writer thread
-// joins/leaves through the locked facade while two readers hammer views,
-// resyncs, snapshots and subgroup resolution. TSan polices the data races;
+// joins/leaves while two readers hammer views, resyncs, snapshots and
+// subgroup resolution. TSan polices the data races;
 // the assertions police torn views.
 TEST(ViewConcurrency, ChurnVersusReadersStress) {
   transport::NullTransport transport;
   ServerConfig config;
   config.rng_seed = 21;
-  LockedGroupKeyServer server(config, transport);
+  ShardedGroupKeyServer server({config, 1}, transport);
   for (UserId u = 1; u <= 16; ++u) {
     ASSERT_EQ(server.join(u), JoinResult::kGranted);
   }
-  const KeyId root = server.tree_view()->root_id();
+  const KeyId root = server.shard_view(0)->root_id();
 
   std::atomic<bool> stop{false};
   std::thread writer([&server, &stop] {
@@ -141,7 +138,7 @@ TEST(ViewConcurrency, ChurnVersusReadersStress) {
       std::size_t iterations = 0;
       while ((!stop.load(std::memory_order_acquire) || iterations < 40) &&
              iterations < 4000) {
-        const TreeViewPtr view = server.tree_view();
+        const TreeViewPtr view = server.shard_view(0);
         // Each view is internally consistent, whatever epoch it is.
         EXPECT_EQ(view->users().size(), view->user_count());
         EXPECT_EQ(view->users_under(root).size(), view->user_count());
@@ -151,7 +148,7 @@ TEST(ViewConcurrency, ChurnVersusReadersStress) {
           // Users 1..16 never leave, so resync always has a member.
           server.resync(1 + static_cast<UserId>(iterations % 16));
         } else {
-          EXPECT_FALSE(server.snapshot().empty());
+          EXPECT_FALSE(server.shard_view(0)->serialize().empty());
         }
         ++iterations;
       }
@@ -161,10 +158,9 @@ TEST(ViewConcurrency, ChurnVersusReadersStress) {
   for (std::thread& reader : readers) reader.join();
 
   EXPECT_EQ(server.member_count(), 16u + 120u - 40u);
-  server.with_server([](const GroupKeyServer& inner) {
-    inner.tree().check_invariants();
-    return 0;
-  });
+  crypto::SecureRandom rng(22);
+  EXPECT_NO_THROW(
+      (void)KeyTree::deserialize(server.shard_view(0)->serialize(), rng));
 }
 
 // The core RCU claim on the raw tree, no server involved: a reader loops on
