@@ -1,27 +1,30 @@
-// Ablation — key-tree storage: contiguous arena + epoch views vs the
-// pre-refactor pointer tree (per-node heap allocations behind an id map).
+// Ablation — key-tree storage: the arena-backed KeyTree and its immutable
+// preorder epoch views.
 //
-// Two questions:
-//   1. Traversal cost. The view stores nodes in preorder, so users_under()
-//      is a contiguous range scan and keyset() a parent-index walk; the
-//      pointer tree chases heap pointers for both. Measured at
-//      n = 1024..65536 members.
-//   2. Reader throughput under a concurrent writer. Readers acquire the
+// Three questions:
+//   1. Resolve cost. A view lists every leaf's user in preorder, so a
+//      subtree's members are one contiguous slice: recipients() (the
+//      dispatch path's fan-out resolve) copies it, users_under() also sorts
+//      it. The pair prices the sort, at n = 1024..KG_TREE_MAX members.
+//   2. Mutation cost. One join + leave pair (each publishes a fresh view),
+//      and one bare publish_view(), at the same n: the publish share is
+//      what a persistent view has to remove.
+//   Both report the median over their repetitions, in microseconds.
+//   3. Reader throughput under a concurrent writer. Readers acquire the
 //      current immutable view (RCU shared_ptr swap) and never lock, so a
 //      churning writer should not dent read throughput beyond core
 //      contention. Measured with the writer idle vs. churning.
 //
 //   KG_TREE_MAX     largest member count (default 65536)
-//   KG_TRAVERSALS   measured traversals per representation (default 200)
+//   KG_TRAVERSALS   measured resolves per n; a tenth as many join + leave
+//                   pairs and publishes (default 200)
 //   KG_READ_MS      per-phase reader window, milliseconds (default 300)
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <map>
-#include <memory>
 #include <optional>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "bench_util.h"
@@ -29,73 +32,6 @@
 
 namespace keygraphs {
 namespace {
-
-// The historical representation, rebuilt from a view: one heap node per
-// k-node, children owned through unique_ptr, lookups through an id map.
-struct PtrNode {
-  KeyId id = 0;
-  Bytes secret;
-  PtrNode* parent = nullptr;
-  std::vector<std::unique_ptr<PtrNode>> children;
-  std::optional<UserId> user;
-};
-
-struct PointerTree {
-  std::unique_ptr<PtrNode> root;
-  std::unordered_map<KeyId, PtrNode*> by_id;
-  std::map<UserId, PtrNode*> leaves;
-
-  static PointerTree from_view(const TreeView& view) {
-    PointerTree tree;
-    const auto& nodes = view.nodes();
-    std::vector<PtrNode*> built(nodes.size());
-    for (std::uint32_t i = 0; i < nodes.size(); ++i) {
-      auto owned = std::make_unique<PtrNode>();
-      PtrNode* node = owned.get();
-      node->id = nodes[i].id;
-      const BytesView secret = view.secret_of(i);
-      node->secret.assign(secret.begin(), secret.end());
-      if (nodes[i].leaf) {
-        node->user = nodes[i].user;
-        tree.leaves.emplace(nodes[i].user, node);
-      }
-      built[i] = node;
-      tree.by_id.emplace(node->id, node);
-      if (nodes[i].parent == TreeView::kNilIndex) {
-        tree.root = std::move(owned);
-      } else {
-        PtrNode* parent = built[nodes[i].parent];
-        node->parent = parent;
-        parent->children.push_back(std::move(owned));
-      }
-    }
-    return tree;
-  }
-
-  [[nodiscard]] std::vector<UserId> users_under(KeyId id) const {
-    std::vector<UserId> out;
-    std::vector<const PtrNode*> stack{by_id.at(id)};
-    while (!stack.empty()) {
-      const PtrNode* node = stack.back();
-      stack.pop_back();
-      if (node->user) out.push_back(*node->user);
-      for (const auto& child : node->children) stack.push_back(child.get());
-    }
-    std::sort(out.begin(), out.end());
-    return out;
-  }
-
-  /// Mirrors KeyTree::keyset's real work: ids plus copied key material.
-  [[nodiscard]] std::vector<std::pair<KeyId, Bytes>> keyset(
-      UserId user) const {
-    std::vector<std::pair<KeyId, Bytes>> out;
-    for (const PtrNode* node = leaves.at(user); node != nullptr;
-         node = node->parent) {
-      out.emplace_back(node->id, node->secret);
-    }
-    return out;
-  }
-};
 
 double ms_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::milli>(
@@ -114,69 +50,73 @@ void grow_to(KeyTree& tree, UserId first, UserId last) {
   }
 }
 
-void emit(const char* json) {
-  const char* path = std::getenv("KG_BENCH_JSON");
-  if (path == nullptr || *path == '\0') {
-    std::printf("%s\n", json);
-    return;
+/// Median wall time of `reps` calls to `body`, in microseconds: one slow
+/// call (a page fault, a preemption) cannot move it the way it moves a
+/// mean.
+template <typename Body>
+double median_us(std::size_t reps, const Body& body) {
+  std::vector<double> samples(reps);
+  for (double& sample : samples) {
+    const auto start = std::chrono::steady_clock::now();
+    body();
+    sample = ms_since(start) * 1000.0;
   }
-  if (std::FILE* file = std::fopen(path, "a")) {
-    std::fprintf(file, "%s\n", json);
-    std::fclose(file);
-  }
+  const auto middle = samples.begin() + static_cast<std::ptrdiff_t>(reps / 2);
+  std::nth_element(samples.begin(), middle, samples.end());
+  return *middle;
 }
 
-void traversal_point(std::size_t n, std::size_t traversals) {
+void resolve_point(std::size_t n, std::size_t traversals) {
   crypto::SecureRandom rng(7001);
   KeyTree tree(4, 16, rng);
   grow_to(tree, 1, n);
   const TreeViewPtr view = tree.view();
-  const PointerTree pointer = PointerTree::from_view(*view);
   const KeyId root = view->root_id();
 
-  // users_under(root): full-membership resolution, the dispatch-path read.
+  // Full-membership resolution of the root: preorder slice vs sorted copy.
   std::size_t sink = 0;
-  auto start = std::chrono::steady_clock::now();
-  for (std::size_t i = 0; i < traversals; ++i) {
+  const double recipients_us = median_us(traversals, [&] {
+    sink += view->recipients(root, std::nullopt).size();
+  });
+  const double users_under_us = median_us(traversals, [&] {
     sink += view->users_under(root).size();
-  }
-  const double view_scan_ms = ms_since(start);
-  start = std::chrono::steady_clock::now();
-  for (std::size_t i = 0; i < traversals; ++i) {
-    sink += pointer.users_under(root).size();
-  }
-  const double pointer_scan_ms = ms_since(start);
-
-  // keyset(u): the per-user path walk (resync/welcome planning).
-  const std::size_t probes = std::min<std::size_t>(n, 512);
-  start = std::chrono::steady_clock::now();
-  for (std::size_t i = 0; i < traversals; ++i) {
-    for (std::size_t p = 1; p <= probes; ++p) {
-      sink += view->keyset(static_cast<UserId>(p * (n / probes))).size();
-    }
-  }
-  const double view_keyset_ms = ms_since(start);
-  start = std::chrono::steady_clock::now();
-  for (std::size_t i = 0; i < traversals; ++i) {
-    for (std::size_t p = 1; p <= probes; ++p) {
-      sink += pointer.keyset(static_cast<UserId>(p * (n / probes))).size();
-    }
-  }
-  const double pointer_keyset_ms = ms_since(start);
+  });
   const volatile std::size_t keep = sink;
   (void)keep;
 
-  char json[512];
+  char json[384];
   std::snprintf(
       json, sizeof(json),
-      "{\"bench\":\"tree_storage\",\"mode\":\"traversal\",\"n\":%zu,"
-      "\"users_under_arena_ms\":%.3f,\"users_under_pointer_ms\":%.3f,"
-      "\"keyset_arena_ms\":%.3f,\"keyset_pointer_ms\":%.3f,"
-      "\"users_under_speedup\":%.2f,\"keyset_speedup\":%.2f}",
-      n, view_scan_ms, pointer_scan_ms, view_keyset_ms, pointer_keyset_ms,
-      view_scan_ms > 0 ? pointer_scan_ms / view_scan_ms : 0.0,
-      view_keyset_ms > 0 ? pointer_keyset_ms / view_keyset_ms : 0.0);
-  emit(json);
+      "{\"bench\":\"tree_storage\",\"mode\":\"resolve\",\"n\":%zu,"
+      "\"recipients_us\":%.2f,\"users_under_us\":%.2f,"
+      "\"sort_share\":%.3f}",
+      n, recipients_us, users_under_us,
+      users_under_us > 0 ? 1.0 - recipients_us / users_under_us : 0.0);
+  bench::emit_json_line(json);
+}
+
+void mutate_publish_point(std::size_t n, std::size_t pairs) {
+  crypto::SecureRandom rng(7003);
+  KeyTree tree(4, 16, rng);
+  grow_to(tree, 1, n);
+
+  UserId next = static_cast<UserId>(n) + 1;
+  const double pair_us = median_us(pairs, [&] {
+    const UserId u = next++;
+    tree.join(u, Bytes(16, static_cast<std::uint8_t>(u)));
+    tree.leave(u);
+  });
+  const double publish_us = median_us(pairs, [&] { tree.publish_view(); });
+
+  char json[384];
+  std::snprintf(
+      json, sizeof(json),
+      "{\"bench\":\"tree_storage\",\"mode\":\"mutate_publish\","
+      "\"n\":%zu,\"pairs\":%zu,\"join_leave_pair_us\":%.2f,"
+      "\"publish_view_us\":%.2f,\"publish_share\":%.3f}",
+      n, pairs, pair_us, publish_us,
+      pair_us > 0 ? 2.0 * publish_us / pair_us : 0.0);
+  bench::emit_json_line(json);
 }
 
 /// Reads completed in `window_ms`, with an optional concurrent writer
@@ -227,7 +167,7 @@ void reader_throughput_point(std::size_t n, double window_ms) {
                 quiet > 0 ? 100.0 * static_cast<double>(contended) /
                                 static_cast<double>(quiet)
                           : 0.0);
-  emit(json);
+  bench::emit_json_line(json);
 }
 
 }  // namespace
@@ -236,12 +176,14 @@ void reader_throughput_point(std::size_t n, double window_ms) {
 int main() {
   using namespace keygraphs;
   const std::size_t max_n = bench::env_size("KG_TREE_MAX", 65536);
-  const std::size_t traversals = bench::env_size("KG_TRAVERSALS", 200);
+  const std::size_t traversals =
+      std::max<std::size_t>(1, bench::env_size("KG_TRAVERSALS", 200));
   const double window_ms =
       static_cast<double>(bench::env_size("KG_READ_MS", 300));
   bench::emit_header_json("ablation_tree_storage");
   for (std::size_t n = 1024; n <= max_n; n *= 4) {
-    traversal_point(n, traversals);
+    resolve_point(n, traversals);
+    mutate_publish_point(n, std::max<std::size_t>(1, traversals / 10));
   }
   reader_throughput_point(4096, window_ms);
   return 0;

@@ -418,13 +418,16 @@ void KeyTree::publish(std::uint64_t epoch) {
 
   const std::size_t count = live_nodes_;
   fresh->nodes_.reserve(count);
+  fresh->leaf_users_.reserve(user_leaves_.size());
   fresh->children_.reserve(count > 0 ? count - 1 : 0);
   fresh->secrets_.resize(count * key_size_);
 
   // Preorder walk with reversed child pushes — the exact order the
   // historical serialize() emitted, so the view's serialize() is a linear
   // scan with identical bytes. `slot` is the child's cell in the parent's
-  // children block, assigned before the child is visited.
+  // children block, assigned before the child is visited. Leaves append
+  // their user as they are visited, so every subtree's members land in one
+  // contiguous slice of leaf_users_ starting at its leaf_begin.
   struct Frame {
     NodeIndex arena;
     std::uint32_t parent_view;
@@ -451,10 +454,10 @@ void KeyTree::publish(std::uint64_t epoch) {
     out.id = src.id;
     out.version = src.version;
     out.parent = frame.parent_view;
-    out.user_count = src.user_count;
+    out.leaf_begin = static_cast<std::uint32_t>(fresh->leaf_users_.size());
     out.leaf = src.is_leaf();
     if (out.leaf) {
-      out.user = *src.user;
+      fresh->leaf_users_.push_back(*src.user);
     } else {
       max_internal = std::max(max_internal, src.id);
     }
@@ -472,16 +475,18 @@ void KeyTree::publish(std::uint64_t epoch) {
   }
   fresh->height_ = height;
 
-  // Reverse pass: in preorder, a parent's subtree ends where its last
-  // child's subtree ends.
+  // Reverse pass: in preorder, a parent's subtree and its leaf slice both
+  // end where its last child's do.
   for (std::size_t i = fresh->nodes_.size(); i-- > 0;) {
     TreeView::Node& node = fresh->nodes_[i];
     if (node.child_count == 0) {
       node.subtree_end = static_cast<std::uint32_t>(i) + 1;
+      node.user_count = node.leaf ? 1 : 0;
     } else {
-      const std::uint32_t last =
-          fresh->children_[node.first_child + node.child_count - 1];
-      node.subtree_end = fresh->nodes_[last].subtree_end;
+      const TreeView::Node& last = fresh->nodes_[
+          fresh->children_[node.first_child + node.child_count - 1]];
+      node.subtree_end = last.subtree_end;
+      node.user_count = last.leaf_begin + last.user_count - node.leaf_begin;
     }
   }
 

@@ -46,21 +46,9 @@ SymmetricKey TreeView::group_key() const {
                       Bytes(secret.begin(), secret.end())};
 }
 
-std::vector<UserId> TreeView::users_in_range(std::uint32_t index) const {
-  const Node& top = nodes_[index];
-  std::vector<UserId> out;
-  out.reserve(top.user_count);
-  for (std::uint32_t i = index; i < top.subtree_end; ++i) {
-    if (nodes_[i].leaf) out.push_back(nodes_[i].user);
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
 std::vector<UserId> TreeView::users_under(KeyId node) const {
-  const std::uint32_t index = find(node);
-  if (index == kNilIndex) throw ProtocolError("KeyTree: no such k-node");
-  return users_in_range(index);
+  if (find(node) == kNilIndex) throw ProtocolError("KeyTree: no such k-node");
+  return resolve_subgroup(node, std::nullopt);
 }
 
 std::vector<SymmetricKey> TreeView::keyset(UserId user) const {
@@ -107,24 +95,39 @@ Bytes TreeView::serialize() const {
     writer.u32(node.version);
     writer.var_bytes(secret_of(i));
     writer.u8(node.leaf ? 1 : 0);
-    if (node.leaf) writer.u64(node.user);
+    if (node.leaf) writer.u64(leaf_users_[node.leaf_begin]);
     writer.u16(static_cast<std::uint16_t>(node.child_count));
   }
   return writer.take();
 }
 
-std::vector<UserId> TreeView::resolve_subgroup(
+std::vector<UserId> TreeView::recipients(
     KeyId include, std::optional<KeyId> exclude) const {
   const std::uint32_t inc = find(include);
   if (inc == kNilIndex) return {};  // vanished in the same operation
-  std::vector<UserId> included = users_in_range(inc);
-  if (!exclude.has_value()) return included;
-  const std::uint32_t exc = find(*exclude);
-  if (exc == kNilIndex) return included;
-  const std::vector<UserId> excluded = users_in_range(exc);
+  // A subtree's members are exactly its slice [leaf_begin, leaf_begin +
+  // user_count) of leaf_users_, so userset(include) - userset(exclude) is
+  // the interval difference [a, b) - [c, d) = [a, min(b, c)) + [max(a, d),
+  // b), clamped to [a, b). An unknown exclude excludes no one: [b, b).
+  const std::uint32_t a = nodes_[inc].leaf_begin;
+  const std::uint32_t b = a + nodes_[inc].user_count;
+  const std::uint32_t exc = exclude ? find(*exclude) : kNilIndex;
+  const std::uint32_t c = exc == kNilIndex ? b : nodes_[exc].leaf_begin;
+  const std::uint32_t d = exc == kNilIndex ? b : c + nodes_[exc].user_count;
+  const std::uint32_t head_end = std::max(a, std::min(b, c));
+  const std::uint32_t tail_begin = std::min(b, std::max(a, d));
   std::vector<UserId> out;
-  std::set_difference(included.begin(), included.end(), excluded.begin(),
-                      excluded.end(), std::back_inserter(out));
+  out.reserve((head_end - a) + (b - tail_begin));
+  const auto first = leaf_users_.begin();
+  out.insert(out.end(), first + a, first + head_end);
+  out.insert(out.end(), first + tail_begin, first + b);
+  return out;
+}
+
+std::vector<UserId> TreeView::resolve_subgroup(
+    KeyId include, std::optional<KeyId> exclude) const {
+  std::vector<UserId> out = recipients(include, exclude);
+  std::sort(out.begin(), out.end());
   return out;
 }
 
@@ -143,8 +146,9 @@ KeyGraph TreeView::to_key_graph() const {
       graph.add_key_edge(node.id, nodes_[node.parent].id);
     }
     if (node.leaf) {
-      graph.add_user(node.user);
-      graph.add_user_edge(node.user, node.id);
+      const UserId user = leaf_users_[node.leaf_begin];
+      graph.add_user(user);
+      graph.add_user_edge(user, node.id);
     }
   }
   return graph;

@@ -12,8 +12,14 @@
 //   - nodes_ is stored in the exact preorder KeyTree::serialize() has
 //     always emitted, so serialize() is a linear scan and the bytes are
 //     identical to the historical pointer-tree encoding;
-//   - preorder makes every subtree a contiguous range [i, subtree_end):
-//     users_under() is a range scan, not a pointer chase;
+//   - preorder makes every subtree a contiguous range [i, subtree_end);
+//   - leaf_users_ lists every leaf's user in the same preorder, so each
+//     subtree's members are one contiguous slice [leaf_begin,
+//     leaf_begin + user_count) of it: recipients() copies that slice (in
+//     preorder, no scan, no sort), while users_under() and
+//     resolve_subgroup() return ascending sorted copies of it;
+//   - a Node is 40 bytes: the leaf's user lives in leaf_users_, not in the
+//     node, and counts are u32 like every other index;
 //   - secrets live at [index * key_size, ...) in one pooled buffer that is
 //     securely wiped on destruction;
 //   - internal k-node ids are dense counter values, so the id table is a
@@ -55,8 +61,8 @@ class TreeView {
     std::uint32_t first_child = 0;  // offset into the children table
     std::uint32_t child_count = 0;
     std::uint32_t subtree_end = 0;  // one past the last preorder descendant
-    std::uint64_t user_count = 0;
-    UserId user = 0;  // meaningful iff leaf
+    std::uint32_t user_count = 0;   // leaves in the subtree
+    std::uint32_t leaf_begin = 0;   // subtree's first slot in leaf_users_
     bool leaf = false;
   };
 
@@ -96,9 +102,15 @@ class TreeView {
   /// Byte-identical to the historical KeyTree::serialize() encoding.
   [[nodiscard]] Bytes serialize() const;
 
-  /// userset(include) - userset(exclude). Unknown k-nodes degrade the way
-  /// the dispatch path always has: unknown include -> empty, unknown
-  /// exclude -> no exclusion (the node vanished in the same operation).
+  /// userset(include) - userset(exclude) in preorder, each user once: the
+  /// dispatch path's fan-out resolve, O(recipients). Unknown k-nodes
+  /// degrade the way the dispatch path always has: unknown include ->
+  /// empty, unknown exclude -> no exclusion (the node vanished in the same
+  /// operation). An include inside (or equal to) the exclude gives nobody;
+  /// a disjoint exclude excludes no one.
+  [[nodiscard]] std::vector<UserId> recipients(
+      KeyId include, std::optional<KeyId> exclude) const;
+  /// recipients(include, exclude), ascending.
   [[nodiscard]] std::vector<UserId> resolve_subgroup(
       KeyId include, std::optional<KeyId> exclude) const;
 
@@ -128,10 +140,8 @@ class TreeView {
   [[nodiscard]] std::uint32_t find(KeyId id) const;
   /// View index of the user's leaf, or kNilIndex.
   [[nodiscard]] std::uint32_t find_leaf(UserId user) const;
-  /// Leaves of the preorder range [node, subtree_end), ascending user ids.
-  [[nodiscard]] std::vector<UserId> users_in_range(std::uint32_t index) const;
-
   std::vector<Node> nodes_;                // preorder; root at index 0
+  std::vector<UserId> leaf_users_;         // every leaf's user, in preorder
   std::vector<std::uint32_t> children_;    // flattened child index lists
   Bytes secrets_;                          // node i at [i*key_size, ...)
   std::vector<std::uint32_t> by_internal_id_;  // id -> index, dense

@@ -342,9 +342,10 @@ class GroupKeyServer {
     return durable_.get();
   }
 
-  /// userset(include) - userset(exclude) on the current epoch view; the
-  /// unicast fan-out transport uses this as its Resolver. Lock-free: safe
-  /// to call from any thread while the writer mutates.
+  /// userset(include) - userset(exclude) on the current epoch view,
+  /// ascending: the set a subgroup datagram's Resolver yields (dispatch
+  /// resolves it on the plan-time view via TreeView::recipients).
+  /// Lock-free: safe to call from any thread while the writer mutates.
   [[nodiscard]] std::vector<UserId> resolve_subgroup(
       KeyId include, std::optional<KeyId> exclude) const;
 

@@ -157,7 +157,7 @@ std::vector<Bytes> deliver_burst(
         {to, datagrams[i], [resolver = views.empty() ? view : views[i], to] {
            return to.kind == rekey::Recipient::Kind::kUser
                       ? std::vector<UserId>{to.user}
-                      : resolver->resolve_subgroup(to.include, to.exclude);
+                      : resolver->recipients(to.include, to.exclude);
          }});
   }
   transport.deliver_many(items);

@@ -22,8 +22,9 @@
 namespace keygraphs::transport {
 
 /// Server-side outbound port. `resolve` lazily enumerates the users behind
-/// a subgroup recipient; implementations with native multicast (InProc)
-/// never call it, unicast fan-out implementations do.
+/// a subgroup recipient: each user exactly once, in no specified order.
+/// Implementations with native multicast (InProc) never call it, unicast
+/// fan-out implementations do.
 class ServerTransport {
  public:
   virtual ~ServerTransport() = default;

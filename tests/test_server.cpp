@@ -1,6 +1,7 @@
 // GroupKeyServer: protocol behaviour (grant/deny/duplicate), ACL, token
-// authentication, epoch progression, stats recording, resolver semantics,
-// and the star baseline configuration.
+// authentication, epoch progression, stats recording, resolver semantics
+// (including the fan-out each dispatched datagram resolves to), and the
+// star baseline configuration.
 #include "server/server.h"
 
 #include <gtest/gtest.h>
@@ -8,6 +9,7 @@
 #include <algorithm>
 
 #include "common/error.h"
+#include "fanout_check.h"
 #include "transport/transport.h"
 
 namespace keygraphs::server {
@@ -145,6 +147,42 @@ TEST(Server, ResolveSubgroupDifference) {
   // Vanished k-nodes resolve to empty, not an error.
   EXPECT_TRUE(server.resolve_subgroup(999999, std::nullopt).empty());
   EXPECT_EQ(server.resolve_subgroup(server.root_id(), 999999).size(), 9u);
+}
+
+TEST(Server, DispatchFansEachSubgroupOutToItsUserset) {
+  for (const rekey::StrategyKind strategy :
+       {rekey::StrategyKind::kUserOriented, rekey::StrategyKind::kKeyOriented,
+        rekey::StrategyKind::kGroupOriented, rekey::StrategyKind::kHybrid}) {
+    SCOPED_TRACE(static_cast<int>(strategy));
+    fanout::ResolvingTransport transport;
+    GroupKeyServer server(plain_config(strategy), transport);
+    fanout::Counts total;
+    // Dispatch resolves on the plan-time view, which stays current until
+    // the next operation.
+    const auto check = [&] {
+      const fanout::Counts counts = fanout::expect_exact(
+          transport.take(), [&](KeyId include, std::optional<KeyId> exclude) {
+            return server.resolve_subgroup(include, exclude);
+          });
+      total.subgroups += counts.subgroups;
+      total.excludes += counts.excludes;
+    };
+    for (UserId user = 1; user <= 24; ++user) {
+      server.join(user);
+      check();
+    }
+    for (const UserId user : {5, 12, 1, 24, 17}) {
+      server.leave(user);
+      check();
+    }
+    server.batch({100, 101, 102}, {3, 9});
+    check();
+    EXPECT_GT(total.subgroups, 0u);
+    if (strategy == rekey::StrategyKind::kUserOriented ||
+        strategy == rekey::StrategyKind::kKeyOriented) {
+      EXPECT_GT(total.excludes, 0u);
+    }
+  }
 }
 
 TEST(Server, SigningModesRequireSuite) {

@@ -10,6 +10,8 @@
 //     correctly; resync carries the shared key.
 //   - Concurrent writers on distinct users are safe (run under TSan) and
 //     never tear the epoch sequence.
+//   - At every K, each dispatched datagram's Resolver yields exactly its
+//     recipient set on the view it was planned against, each user once.
 #include "server/sharded_server.h"
 
 #include <gtest/gtest.h>
@@ -22,6 +24,7 @@
 
 #include "client/client.h"
 #include "common/error.h"
+#include "fanout_check.h"
 #include "server/server.h"
 #include "transport/inproc.h"
 #include "transport/transport.h"
@@ -201,6 +204,74 @@ TEST(ShardedIdentity, NacksInAndOutOfWindow) {
   run(sharded, sharded_wire);
 
   expect_same_wire(flat_wire.sent(), sharded_wire.sent());
+}
+
+// --- Dispatch fan-out --------------------------------------------------
+
+// Every datagram a dispatch hands the transport resolves to exactly its
+// recipient set on the view it was planned against. Internal k-node ids
+// are disjoint across shards and an unknown include resolves to nobody, so
+// the union over the shard views names the one shard that holds it.
+TEST(ShardedServer, DispatchFansEachSubgroupOutToItsUserset) {
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+    for (const rekey::StrategyKind strategy :
+         {rekey::StrategyKind::kUserOriented,
+          rekey::StrategyKind::kKeyOriented,
+          rekey::StrategyKind::kGroupOriented, rekey::StrategyKind::kHybrid}) {
+      SCOPED_TRACE(::testing::Message() << "K=" << shards << " strategy="
+                                        << static_cast<int>(strategy));
+      server::ServerConfig base;
+      base.strategy = strategy;
+      base.rng_seed = 77;
+      fanout::ResolvingTransport transport;
+      server::ShardedGroupKeyServer server({base, shards}, transport);
+      fanout::Counts total;
+      const auto userset = [&](KeyId include, std::optional<KeyId> exclude) {
+        std::vector<UserId> out;
+        for (std::size_t s = 0; s < server.shard_count(); ++s) {
+          const std::vector<UserId> part =
+              server.shard_view(s)->resolve_subgroup(include, exclude);
+          out.insert(out.end(), part.begin(), part.end());
+        }
+        std::sort(out.begin(), out.end());
+        return out;
+      };
+      const auto check = [&] {
+        const fanout::Counts counts =
+            fanout::expect_exact(transport.take(), userset);
+        total.subgroups += counts.subgroups;
+        total.excludes += counts.excludes;
+      };
+      for (UserId user = 1; user <= 40; ++user) {
+        server.join(user);
+        check();
+      }
+      for (const UserId user : {5, 12, 1, 40, 17, 33}) {
+        server.leave(user);
+        check();
+      }
+      // A batch spanning shards commits them one after another, so a later
+      // shard's view moves past what an earlier shard's broadcast resolved
+      // on; keep this one inside a single shard.
+      std::vector<UserId> joins;
+      std::vector<UserId> leaves;
+      for (UserId user = 100; joins.size() < 3; ++user) {
+        if (server.shard_of(user) == 0) joins.push_back(user);
+      }
+      for (UserId user = 2; leaves.size() < 3 && user < 40; ++user) {
+        if (server.shard_of(user) == 0 && server.has_member(user)) {
+          leaves.push_back(user);
+        }
+      }
+      server.batch(joins, leaves);
+      check();
+      EXPECT_GT(total.subgroups, 0u);
+      if (strategy == rekey::StrategyKind::kUserOriented ||
+          strategy == rekey::StrategyKind::kKeyOriented) {
+        EXPECT_GT(total.excludes, 0u);
+      }
+    }
+  }
 }
 
 // --- K > 1 member convergence -----------------------------------------

@@ -1,18 +1,24 @@
 // TreeView: the immutable per-epoch snapshots the arena-backed KeyTree
 // publishes after every mutation. Views must (a) never change underneath a
 // reader, (b) answer every read exactly like the live tree, (c) serialize
-// byte-identically to the tree's own encoding, and (d) resolve key
-// material for rekey::KeySnapshot without copying.
+// byte-identically to the tree's own encoding, (d) resolve key material
+// for rekey::KeySnapshot without copying, and (e) resolve every subgroup
+// from the preorder leaf table exactly as userset(include) -
+// userset(exclude).
 #include "keygraph/tree_view.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <random>
 #include <set>
 
 #include "common/error.h"
 #include "keygraph/key_tree.h"
 #include "rekey/plan.h"
+#include "server/sharded_server.h"
+#include "transport/transport.h"
 
 namespace keygraphs {
 namespace {
@@ -119,6 +125,143 @@ TEST(TreeView, SerializeMatchesTreeAndRoundTrips) {
   EXPECT_EQ(restored->serialize(), from_tree);
   EXPECT_EQ(restored->view()->serialize(), from_tree);
   EXPECT_EQ(restored->users(), tree.users());
+}
+
+// The retransmit window retains up to 32 epochs of views per shard; the
+// node array is most of a view's size.
+static_assert(sizeof(TreeView::Node) <= 40);
+
+KeyId max_internal_id(const TreeView& view) {
+  KeyId best = 0;
+  for (const TreeView::Node& node : view.nodes()) {
+    if (!node.leaf) best = std::max(best, node.id);
+  }
+  return best;
+}
+
+/// How often each shape of (include, exclude) pair came up.
+struct PairShapes {
+  std::size_t nested = 0;    // exclude strictly inside include
+  std::size_t covered = 0;   // include inside (or equal to) exclude
+  std::size_t disjoint = 0;  // e.g. sibling subtrees
+  std::size_t unknown = 0;   // unknown include or exclude
+};
+
+/// recipients(a, b), sorted, equals userset(a) - userset(b) under the
+/// degrade rules, with no duplicates, for every pair of k-node ids the
+/// view holds (internal and leaf) plus an unknown id on either side.
+PairShapes expect_recipients_match(const TreeView& view) {
+  constexpr KeyId kUnknown = 0x7fffffffffffULL;
+  std::map<KeyId, std::vector<UserId>> userset;
+  for (const TreeView::Node& node : view.nodes()) {
+    userset[node.id] = view.users_under(node.id);
+  }
+  std::vector<std::optional<KeyId>> excludes{std::nullopt, kUnknown};
+  for (const auto& entry : userset) excludes.emplace_back(entry.first);
+  std::vector<KeyId> includes{kUnknown};
+  for (const auto& entry : userset) includes.push_back(entry.first);
+
+  PairShapes shapes;
+  for (const KeyId include : includes) {
+    for (const std::optional<KeyId> exclude : excludes) {
+      const auto inc = userset.find(include);
+      const auto exc = exclude ? userset.find(*exclude) : userset.end();
+      std::vector<UserId> expect;
+      if (inc == userset.end()) {
+        ++shapes.unknown;
+      } else if (exc == userset.end()) {
+        if (exclude) ++shapes.unknown;
+        expect = inc->second;
+      } else {
+        const std::vector<UserId>& a = inc->second;
+        const std::vector<UserId>& b = exc->second;
+        std::set_difference(a.begin(), a.end(), b.begin(), b.end(),
+                            std::back_inserter(expect));
+        if (std::includes(b.begin(), b.end(), a.begin(), a.end())) {
+          ++shapes.covered;
+        } else if (expect.size() == a.size()) {
+          ++shapes.disjoint;
+        } else {
+          ++shapes.nested;
+        }
+      }
+      std::vector<UserId> got = view.recipients(include, exclude);
+      std::sort(got.begin(), got.end());
+      EXPECT_EQ(std::adjacent_find(got.begin(), got.end()), got.end());
+      EXPECT_EQ(got, expect) << include << " - "
+                             << (exclude ? *exclude : KeyId{0});
+      EXPECT_EQ(view.resolve_subgroup(include, exclude), expect);
+    }
+  }
+  return shapes;
+}
+
+void expect_all_shapes(const PairShapes& shapes) {
+  EXPECT_GT(shapes.nested, 0u);
+  EXPECT_GT(shapes.covered, 0u);
+  EXPECT_GT(shapes.disjoint, 0u);
+  EXPECT_GT(shapes.unknown, 0u);
+}
+
+class RecipientsDiff : public ::testing::TestWithParam<int> {};
+
+// Seeded join/leave churn, long enough that the never-reused internal ids
+// outgrow the dense id table and the view switches to the sparse one.
+TEST_P(RecipientsDiff, MatchesUsersetDifferenceThroughChurn) {
+  const int degree = GetParam();
+  KeyTree tree(degree, 8, rng());
+  std::mt19937_64 churn(1998 + static_cast<unsigned>(degree));
+  std::vector<UserId> members;
+  UserId next = 1;
+  for (; next <= 40; ++next) {
+    tree.join(next, ik(next));
+    members.push_back(next);
+  }
+  expect_all_shapes(expect_recipients_match(*tree.view()));
+
+  // KeyTree::publish's rule for leaving the dense id table.
+  const auto sparse = [&tree] {
+    const TreeViewPtr view = tree.view();
+    return max_internal_id(*view) + 1 > 4 * view->key_count() + 64;
+  };
+  for (int step = 0; step < 20000 && !sparse(); ++step) {
+    if (members.size() > 24 && churn() % 2 == 0) {
+      const std::size_t pick = churn() % members.size();
+      tree.leave(members[pick]);
+      members[pick] = members.back();
+      members.pop_back();
+    } else {
+      tree.join(next, ik(next));
+      members.push_back(next++);
+    }
+  }
+  ASSERT_TRUE(sparse()) << "churn never reached the sparse id table";
+  tree.check_invariants();
+  const TreeViewPtr view = tree.view();
+  expect_all_shapes(expect_recipients_match(*view));
+
+  // A deserialized tree rebuilds its view through the same publish.
+  crypto::SecureRandom rng2(3);
+  const auto restored = KeyTree::deserialize(view->serialize(), rng2);
+  expect_all_shapes(expect_recipients_match(*restored->view()));
+}
+
+INSTANTIATE_TEST_SUITE_P(Degrees, RecipientsDiff,
+                         ::testing::Values(2, 3, 4, 8));
+
+TEST(TreeView, RecipientsMatchOnEveryShardView) {
+  transport::NullTransport transport;
+  server::ServerConfig base;
+  base.rng_seed = 21;
+  server::ShardedGroupKeyServer server({base, 4}, transport);
+  for (UserId u = 1; u <= 64; ++u) server.join(u);
+  for (UserId u = 3; u <= 64; u += 5) server.leave(u);
+  for (std::size_t shard = 0; shard < 4; ++shard) {
+    SCOPED_TRACE(shard);
+    const TreeViewPtr view = server.shard_view(shard);
+    ASSERT_GT(view->user_count(), 2u);
+    expect_recipients_match(*view);
+  }
 }
 
 TEST(TreeView, ResolveSubgroupMatchesUsersetDifference) {
