@@ -73,7 +73,7 @@ std::vector<UserId> iota_users(UserId first, std::size_t count) {
 Point run_off(std::size_t shards, std::size_t base, std::size_t crowd) {
   std::uint64_t now_us = 1'000'000;
   transport::NullTransport transport;
-  server::ShardedGroupKeyServer server(base_config(shards, &now_us),
+  server::GroupKeyServer server(base_config(shards, &now_us),
                                        transport);
   server.preload(iota_users(1, base));
 
@@ -98,7 +98,7 @@ Point run_on(std::size_t shards, std::size_t base, std::size_t crowd,
   config.base.overload.degraded_batch_period_us = 100'000;
   config.base.overload.shed_deadline_us = 250'000;
   config.base.overload.degrade_queue_fraction = 0.0;  // pin degraded
-  server::ShardedGroupKeyServer server(config, transport);
+  server::GroupKeyServer server(config, transport);
   server.preload(iota_users(1, base));
   (void)server.poll_overload();  // evaluate -> degraded
 

@@ -6,8 +6,8 @@
 // the server a bounded answer to a flash crowd or mass eviction instead of
 // unbounded queueing on the plan mutex:
 //
-//   AdmissionController — per-lane token-bucket admission (a lane is a
-//     shard under ShardedGroupKeyServer, the whole server otherwise) with
+//   AdmissionController — per-lane token-bucket admission (a lane is one
+//     of the server's K shards; K = 1 gates the whole server) with
 //     a bounded coalesce queue and a per-lane circuit breaker, so one slow
 //     shard sheds without stalling its siblings. Requests past the bound
 //     are shed with a retry-after hint, answered on the wire with
@@ -229,8 +229,8 @@ struct OverloadTick {
 
 /// Admission controller, health monitor and the per-lane coalesce buffers
 /// behind one internally synchronized interface. A lane is a shard of
-/// ShardedGroupKeyServer; GroupKeyServer is lane 0. The servers validate
-/// tokens, ACL and membership and then delegate here.
+/// GroupKeyServer. The server validates tokens, ACL and membership and
+/// then delegates here.
 class Gate {
  public:
   Gate(const OverloadConfig& config, std::size_t lanes);

@@ -65,7 +65,7 @@ TEST(OverloadSoak, FlashCrowdIsBoundedShedThenFullyAdmitted) {
   // Queue fraction 0 pins the monitor degraded: every offer coalesces,
   // which is exactly the regime the acceptance criteria speak about.
   config.base.overload.degrade_queue_fraction = 0.0;
-  server::ShardedGroupKeyServer server(config, network);
+  server::GroupKeyServer server(config, network);
 
   std::vector<UserId> initial;
   for (UserId user = 1; user <= kBase; ++user) initial.push_back(user);

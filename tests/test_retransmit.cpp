@@ -207,15 +207,14 @@ TEST(Retransmit, NackRequiresMembershipAndToken) {
           .has_value());
 }
 
-// The concurrent server (ShardedGroupKeyServer at K = 1) serves the replay
-// half under its dispatch mutex and falls back through its lock-free
-// resync path.
+// The server serves the replay half under its dispatch mutex and falls
+// back through its lock-free resync path.
 TEST(Retransmit, ConcurrentServerServesNacks) {
   std::uint64_t now = 1'000'000;
   server::ServerConfig config = base_config(&now);
   config.retransmit_window = 1;  // force the resync fallback on a 2-gap
   transport::InProcNetwork network;
-  server::ShardedGroupKeyServer server({config, 1}, network);
+  server::GroupKeyServer server({config, 1}, network);
 
   client::ClientConfig member_config;
   member_config.user = 2;

@@ -1,7 +1,7 @@
-// The concurrent server — ShardedGroupKeyServer at K = 1 — under real
-// thread contention: concurrent joins and leaves from several threads must
-// leave a consistent tree (deserializing the published view re-validates
-// every invariant, and membership counts catch lost updates or torn state).
+// The server at K = 1 under real thread contention: concurrent joins and
+// leaves from several threads must leave a consistent tree (deserializing
+// the published view re-validates every invariant, and membership counts
+// catch lost updates or torn state).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -21,7 +21,7 @@ ShardedServerConfig one_shard(ServerConfig config) {
 
 /// Round-trips the current view through KeyTree::deserialize, which throws
 /// on any broken invariant.
-void expect_consistent(const ShardedGroupKeyServer& server) {
+void expect_consistent(const GroupKeyServer& server) {
   crypto::SecureRandom rng(1);
   EXPECT_NO_THROW(
       (void)KeyTree::deserialize(server.shard_view(0)->serialize(), rng));
@@ -31,7 +31,7 @@ TEST(ServerConcurrency, SingleThreadBehavesLikePlainServer) {
   transport::NullTransport transport;
   ServerConfig config;
   config.rng_seed = 3;
-  ShardedGroupKeyServer server(one_shard(config), transport);
+  GroupKeyServer server(one_shard(config), transport);
   EXPECT_EQ(server.join(1), JoinResult::kGranted);
   EXPECT_EQ(server.join(1), JoinResult::kDuplicate);
   EXPECT_TRUE(server.has_member(1));
@@ -44,7 +44,7 @@ TEST(ServerConcurrency, TokenPathsWork) {
   transport::NullTransport transport;
   ServerConfig config;
   config.rng_seed = 4;
-  ShardedGroupKeyServer server(one_shard(config), transport);
+  GroupKeyServer server(one_shard(config), transport);
   EXPECT_EQ(server.join_with_token(5, server.auth().join_token(5)),
             JoinResult::kGranted);
   EXPECT_TRUE(server.leave_with_token(5, server.auth().leave_token(5)));
@@ -54,7 +54,7 @@ TEST(ServerConcurrency, ConcurrentJoinsAllLand) {
   transport::NullTransport transport;
   ServerConfig config;
   config.rng_seed = 5;
-  ShardedGroupKeyServer server(one_shard(config), transport);
+  GroupKeyServer server(one_shard(config), transport);
 
   constexpr int kThreads = 8;
   constexpr int kPerThread = 50;
@@ -82,7 +82,7 @@ TEST(ServerConcurrency, ConcurrentMixedChurnStaysConsistent) {
   transport::NullTransport transport;
   ServerConfig config;
   config.rng_seed = 6;
-  ShardedGroupKeyServer server(one_shard(config), transport);
+  GroupKeyServer server(one_shard(config), transport);
   // Pre-populate a disjoint range per thread; each thread churns only its
   // own users, so every leave targets a member.
   constexpr int kThreads = 6;
@@ -125,7 +125,7 @@ TEST(ServerConcurrency, EightThreadChurnWithParallelSeal) {
   config.seal_threads = 4;
   config.suite = crypto::CryptoSuite::paper_signed();
   config.signing = rekey::SigningMode::kBatch;
-  ShardedGroupKeyServer server(one_shard(config), transport);
+  GroupKeyServer server(one_shard(config), transport);
 
   constexpr int kThreads = 8;
   constexpr int kUsersPerThread = 12;
@@ -167,7 +167,7 @@ TEST(ServerConcurrency, SnapshotWhileChurning) {
   transport::NullTransport transport;
   ServerConfig config;
   config.rng_seed = 7;
-  ShardedGroupKeyServer server(one_shard(config), transport);
+  GroupKeyServer server(one_shard(config), transport);
   for (UserId user = 1; user <= 32; ++user) server.join(user);
 
   std::atomic<bool> stop{false};

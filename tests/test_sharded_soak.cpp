@@ -37,14 +37,14 @@ std::size_t env_size(const char* name, std::size_t fallback) {
 }
 
 struct Tracked {
-  Tracked(server::ShardedGroupKeyServer& server,
+  Tracked(server::GroupKeyServer& server,
           transport::InProcNetwork& network, UserId user,
           std::uint64_t* clock_us)
       : network_(network), user_(user) {
     client::ClientConfig config;
     config.user = user;
-    config.suite = server.config().base.suite;
-    config.group = server.config().base.group;
+    config.suite = server.config().suite;
+    config.group = server.config().group;
     config.root = server.root_id();
     config.verify = false;
     config.rng_seed = user;
@@ -97,7 +97,7 @@ TEST(ShardedSoak, MillionUserChurnConvergesWithZeroSloViolations) {
   // Each retained epoch pins per-shard tree views — at a million users
   // that is tens of megabytes per epoch, so the window stays tiny.
   config.base.retransmit_window = 2;
-  server::ShardedGroupKeyServer server(config, network);
+  server::GroupKeyServer server(config, network);
 
   std::vector<UserId> initial;
   initial.reserve(n);

@@ -606,7 +606,7 @@ TEST(ShardedRecovery, JournalOnlyReplayAcrossLanes) {
   config.base.recovery_rate = 0;
   config.base.storage.backend = backend;
 
-  server::ShardedGroupKeyServer primary(config, transport);
+  server::GroupKeyServer primary(config, transport);
   std::vector<UserId> preloaded;
   for (UserId user = 1; user <= 64; ++user) preloaded.push_back(user);
   primary.preload(preloaded);
@@ -617,7 +617,7 @@ TEST(ShardedRecovery, JournalOnlyReplayAcrossLanes) {
 
   server::ShardedServerConfig replica_config = config;
   replica_config.base.rng_seed = 4242;  // tapes make the seed irrelevant
-  server::ShardedGroupKeyServer replica(replica_config, transport);
+  server::GroupKeyServer replica(replica_config, transport);
   replica.recover_from_storage();
 
   EXPECT_EQ(replica.epoch(), primary.epoch());
@@ -638,24 +638,6 @@ TEST(ShardedRecovery, JournalOnlyReplayAcrossLanes) {
   // And the rehydrated window serves a one-epoch gap without a resync.
   EXPECT_EQ(replica.handle_nack(1, replica.epoch() - 1),
             server::NackOutcome::kRetransmitted);
-}
-
-TEST(ShardedRecovery, SingleShardJournalInteroperates) {
-  // K = 1 sharded output is byte-identical to GroupKeyServer, and so is
-  // its journal: either server can recover the other's log.
-  const auto backend = storage::make_memory_backend(1);
-  transport::NullTransport transport;
-  server::GroupKeyServer flat(durable_config(83, backend), transport);
-  churn(flat);
-
-  server::ShardedServerConfig config;
-  config.shards = 1;
-  config.base = durable_config(83, backend);
-  server::ShardedGroupKeyServer sharded(config, transport);
-  sharded.recover_from_storage();
-  EXPECT_EQ(sharded.epoch(), flat.epoch());
-  EXPECT_EQ(sharded.group_key(), flat.tree().group_key());
-  EXPECT_EQ(sharded.member_count(), flat.tree().user_count());
 }
 
 // --- Hot standby --------------------------------------------------------

@@ -15,6 +15,7 @@
 
 #include "json_check.h"
 #include "keygraph/key_tree.h"
+#include "server/sharded_server.h"
 #include "sim/experiment.h"
 
 namespace keygraphs::telemetry {
@@ -447,10 +448,20 @@ TEST(Registry, HelpTextFirstWriterWins) {
   EXPECT_EQ(registry.help("never.registered"), "");
 }
 
+/// The acceptance bar for the bench breakdowns: the disjoint stage times
+/// must account for the operations' measured processing time.
+void expect_stage_sum_tracks(const server::Summary& summary) {
+  const double processing_us = summary.avg_processing_ms * 1000.0;
+  const double stage_sum_us = summary.measured_stage_us();
+  ASSERT_GT(processing_us, 0.0);
+  ASSERT_GT(stage_sum_us, 0.0);
+  const double ratio = stage_sum_us / processing_us;
+  EXPECT_GT(ratio, 0.6) << "stages miss too much of the measured time";
+  EXPECT_LT(ratio, 1.1) << "stages double-count the measured time";
+}
+
 TEST(Telemetry, StageSumTracksMeasuredProcessingTime) {
-  // The acceptance bar for the bench breakdowns: the disjoint stage times
-  // must account for the operation's measured processing time. Run a small
-  // signed experiment (ms-scale ops drown out timer noise) and compare.
+  // A small signed experiment: ms-scale ops drown out timer noise.
   EnabledGuard guard;
   set_enabled(true);
   sim::ExperimentConfig config;
@@ -458,15 +469,32 @@ TEST(Telemetry, StageSumTracksMeasuredProcessingTime) {
   config.requests = 40;
   config.suite = crypto::CryptoSuite::paper_signed();
   config.signing = rekey::SigningMode::kBatch;
-  const sim::ExperimentResult result = sim::run_experiment(config);
+  expect_stage_sum_tracks(sim::run_experiment(config).all);
+}
 
-  const double processing_us = result.all.avg_processing_ms * 1000.0;
-  const double stage_sum_us = result.all.measured_stage_us();
-  ASSERT_GT(processing_us, 0.0);
-  ASSERT_GT(stage_sum_us, 0.0);
-  const double ratio = stage_sum_us / processing_us;
-  EXPECT_GT(ratio, 0.6) << "stages miss too much of the measured time";
-  EXPECT_LT(ratio, 1.1) << "stages double-count the measured time";
+// The same bar on four lanes: the root-layer stitch, the cross-shard
+// broadcasts and batches split by shard all sit inside the stages.
+TEST(Telemetry, StageSumTracksProcessingTimeAtFourShards) {
+  EnabledGuard guard;
+  set_enabled(true);
+  server::ShardedServerConfig config;
+  config.base.suite = crypto::CryptoSuite::paper_signed();
+  config.base.signing = rekey::SigningMode::kBatch;
+  config.base.rng_seed = 31;
+  config.shards = 4;
+  transport::NullTransport transport;
+  server::GroupKeyServer server(config, transport);
+  std::vector<UserId> preloaded;
+  for (UserId user = 1; user <= 32; ++user) preloaded.push_back(user);
+  server.preload(preloaded);
+  for (UserId user = 100; user < 116; ++user) server.join(user);
+  for (UserId user = 1; user <= 8; ++user) server.leave(user);
+  for (UserId round = 0; round < 4; ++round) {
+    server.batch({200 + 4 * round, 201 + 4 * round, 202 + 4 * round},
+                 {9 + 2 * round, 10 + 2 * round});
+  }
+  ASSERT_GT(server.stats().size(), 24u);
+  expect_stage_sum_tracks(server.stats().summarize_all());
 }
 
 TEST(Telemetry, TreeShapeGaugesTrackEveryEpochPublish) {

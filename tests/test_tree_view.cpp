@@ -253,7 +253,7 @@ TEST(TreeView, RecipientsMatchOnEveryShardView) {
   transport::NullTransport transport;
   server::ServerConfig base;
   base.rng_seed = 21;
-  server::ShardedGroupKeyServer server({base, 4}, transport);
+  server::GroupKeyServer server({base, 4}, transport);
   for (UserId u = 1; u <= 64; ++u) server.join(u);
   for (UserId u = 3; u <= 64; u += 5) server.leave(u);
   for (std::size_t shard = 0; shard < 4; ++shard) {

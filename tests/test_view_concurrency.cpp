@@ -1,9 +1,9 @@
 // The RCU read path under real concurrency: readers acquire an immutable
 // TreeView and must run to completion — resync, snapshot, subgroup
 // resolution, membership reads — while a writer holds the group mutex, even
-// one parked indefinitely in the middle of planning. The server is the
-// concurrent one, ShardedGroupKeyServer at K = 1. Runs under the TSan CI
-// job alongside the pipeline and server-concurrency suites.
+// one parked indefinitely in the middle of planning. The server runs at
+// K = 1. Runs under the TSan CI job alongside the pipeline and
+// server-concurrency suites.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -51,7 +51,7 @@ TEST(ViewConcurrency, ReaderCompletesWhileWriterParkedMidPlan) {
     return 1234;  // fixed timestamp for every other plan
   };
 
-  ShardedGroupKeyServer server({config, 1}, transport);
+  GroupKeyServer server({config, 1}, transport);
   for (UserId u = 1; u <= 8; ++u) {
     ASSERT_EQ(server.join(u), JoinResult::kGranted);
   }
@@ -116,7 +116,7 @@ TEST(ViewConcurrency, ChurnVersusReadersStress) {
   transport::NullTransport transport;
   ServerConfig config;
   config.rng_seed = 21;
-  ShardedGroupKeyServer server({config, 1}, transport);
+  GroupKeyServer server({config, 1}, transport);
   for (UserId u = 1; u <= 16; ++u) {
     ASSERT_EQ(server.join(u), JoinResult::kGranted);
   }
