@@ -85,7 +85,7 @@ struct StorageConfig {
   /// `journal_dir`; required for those kinds.
   std::string journal_dir;
   /// Committed records between compacted snapshots; 0 = never compact.
-  /// Spec key `snapshot_interval`. Ignored by the sharded server (its
+  /// Spec key `snapshot_interval`. Ignored at K>1 (a sharded server's
   /// recovery is journal-only; see docs/ARCHITECTURE.md).
   std::uint32_t snapshot_interval = 1024;
   std::shared_ptr<StorageBackend> backend;
