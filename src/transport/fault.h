@@ -23,8 +23,8 @@
 // any sleeping.
 //
 // Not thread-safe: the engine assumes externally serialized deliveries
-// (the single-threaded harnesses and the locked server's dispatch path,
-// which already serializes transport sends).
+// (the single-threaded harnesses and GroupKeyServer's dispatch path,
+// which sends under its dispatch mutex).
 #pragma once
 
 #include <cstdint>
