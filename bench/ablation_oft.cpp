@@ -10,6 +10,8 @@
 
 #include "bench_util.h"
 #include "oft/oft.h"
+#include "rekey/executor.h"
+#include "rekey/strategy.h"
 #include "sim/workload.h"
 
 namespace keygraphs {
@@ -31,24 +33,30 @@ PairCost measure_key_tree(int degree, std::size_t n, std::size_t ops) {
   for (UserId user = 1; user <= n; ++user) {
     tree.join(user, rng.bytes(16));
   }
-  rekey::RekeyEncryptor encryptor(crypto::CipherAlgorithm::kAes128, rng);
+  const auto cipher = crypto::CipherAlgorithm::kAes128;
   const auto strategy =
       rekey::make_strategy(rekey::StrategyKind::kGroupOriented);
+  rekey::RekeyExecutor executor(cipher, 1);
+  const rekey::RekeySealer sealer(rekey::SigningMode::kNone,
+                                  crypto::DigestAlgorithm::kNone, nullptr);
+  // An unauthenticated envelope is a u32 body length, the body, and one
+  // auth-kind byte; the body is what the broadcast costs.
+  constexpr std::size_t kEnvelopeBytes = 4 + 1;
   PairCost cost;
   for (UserId user = 1; user <= ops; ++user) {
-    encryptor.reset_counters();
-    const auto messages = strategy->plan_leave(tree.leave(user), encryptor);
-    cost.leave.encryptions +=
-        static_cast<double>(encryptor.key_encryptions());
-    for (const auto& outbound : messages) {
-      cost.leave.bytes += static_cast<double>(
-          outbound.message.serialize_body().size());
+    rekey::RekeyPlanner leave_planner(cipher, rng);
+    auto messages = strategy->plan_leave(tree.leave(user), leave_planner);
+    const rekey::RekeyPlan leave = leave_planner.take(std::move(messages));
+    cost.leave.encryptions += static_cast<double>(leave.key_encryptions);
+    for (const rekey::SealedRekey& sealed : executor.seal(leave, sealer)) {
+      cost.leave.bytes +=
+          static_cast<double>(sealed.wire.size() - kEnvelopeBytes);
     }
-    encryptor.reset_counters();
+    rekey::RekeyPlanner join_planner(cipher, rng);
     (void)strategy->plan_join(tree.join(n + user, rng.bytes(16)),
-                              encryptor);
+                              join_planner);
     cost.join_encryptions +=
-        static_cast<double>(encryptor.key_encryptions());
+        static_cast<double>(join_planner.key_encryptions());
   }
   cost.leave.encryptions /= static_cast<double>(ops);
   cost.leave.bytes /= static_cast<double>(ops);

@@ -10,6 +10,7 @@
 //   KG_BENCH_JSON    file to append per-point JSON lines to (default stdout)
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <cstdlib>
@@ -36,15 +37,19 @@ inline std::size_t seeds() { return env_size("KG_SEEDS", 3); }
 inline std::size_t group_size() { return env_size("KG_GROUP_SIZE", 8192); }
 inline std::size_t client_size() { return env_size("KG_CLIENT_SIZE", 2048); }
 
-/// Runs one experiment configuration for each seed and averages the server
-/// summaries (the paper averages three request sequences per point).
+/// Server summaries of one configuration over several seeds (the paper
+/// averages three request sequences per point): means, plus the min-max
+/// of the per-seed mean processing time.
 struct AveragedResult {
   sim::ExperimentResult result;  // client fields from the last seed
   double join_ms = 0.0;
   double leave_ms = 0.0;
   double all_ms = 0.0;
+  double min_ms = 0.0;  // lowest per-seed all_ms
+  double max_ms = 0.0;  // highest per-seed all_ms
   /// Per-stage self time in microseconds, averaged over ops and seeds.
   telemetry::StageBreakdown stage_us{};
+  std::size_t seeds = 0;
 
   /// Sum of the measured stages (auth excluded — the paper's processing
   /// time excludes authentication, Section 5).
@@ -58,6 +63,29 @@ struct AveragedResult {
     }
     return sum;
   }
+
+  /// Folds in one seed's run; finish() turns the sums into means.
+  void add(sim::ExperimentResult run) {
+    const double ms = run.all.avg_processing_ms;
+    min_ms = seeds == 0 ? ms : std::min(min_ms, ms);
+    max_ms = seeds == 0 ? ms : std::max(max_ms, ms);
+    join_ms += run.join.avg_processing_ms;
+    leave_ms += run.leave.avg_processing_ms;
+    all_ms += ms;
+    for (std::size_t i = 0; i < telemetry::kStageCount; ++i) {
+      stage_us[i] += run.all.avg_stage_us[i];
+    }
+    result = std::move(run);
+    ++seeds;
+  }
+
+  void finish() {
+    const auto n = static_cast<double>(seeds);
+    join_ms /= n;
+    leave_ms /= n;
+    all_ms /= n;
+    for (double& stage : stage_us) stage /= n;
+  }
 };
 
 inline AveragedResult run_averaged(sim::ExperimentConfig config,
@@ -65,19 +93,9 @@ inline AveragedResult run_averaged(sim::ExperimentConfig config,
   AveragedResult averaged;
   for (std::size_t seed = 1; seed <= seed_count; ++seed) {
     config.seed = seed;
-    averaged.result = sim::run_experiment(config);
-    averaged.join_ms += averaged.result.join.avg_processing_ms;
-    averaged.leave_ms += averaged.result.leave.avg_processing_ms;
-    averaged.all_ms += averaged.result.all.avg_processing_ms;
-    for (std::size_t i = 0; i < telemetry::kStageCount; ++i) {
-      averaged.stage_us[i] += averaged.result.all.avg_stage_us[i];
-    }
+    averaged.add(sim::run_experiment(config));
   }
-  const auto n = static_cast<double>(seed_count);
-  averaged.join_ms /= n;
-  averaged.leave_ms /= n;
-  averaged.all_ms /= n;
-  for (double& stage : averaged.stage_us) stage /= n;
+  averaged.finish();
   return averaged;
 }
 
@@ -136,8 +154,8 @@ inline void emit_header_json(
 }
 
 /// Appends one JSON line describing a benchmark data point — the averaged
-/// processing time plus the per-stage breakdown — to $KG_BENCH_JSON, or to
-/// stdout when the variable is unset.
+/// processing time with its min-max across seeds, plus the per-stage
+/// breakdown — to $KG_BENCH_JSON, or to stdout when the variable is unset.
 inline void emit_point_json(const char* bench, bool signed_mode,
                             const char* x_key, std::size_t x_value,
                             rekey::StrategyKind strategy,
@@ -154,6 +172,9 @@ inline void emit_point_json(const char* bench, bool signed_mode,
   json += "\"";
   char buffer[64];
   std::snprintf(buffer, sizeof(buffer), ",\"avg_ms\":%.6f", averaged.all_ms);
+  json += buffer;
+  std::snprintf(buffer, sizeof(buffer), ",\"min_ms\":%.6f,\"max_ms\":%.6f",
+                averaged.min_ms, averaged.max_ms);
   json += buffer;
   std::snprintf(buffer, sizeof(buffer), ",\"processing_us\":%.3f",
                 averaged.all_ms * 1000.0);

@@ -23,6 +23,7 @@
 #include "crypto/rsa.h"
 #include "crypto/suite.h"
 #include "merkle/batch_signer.h"
+#include "rekey/executor.h"
 #include "rekey/schedule_cache.h"
 
 namespace keygraphs::crypto {
@@ -174,19 +175,21 @@ void BM_ClientHandleRekey(benchmark::State& state) {
   const SymmetricKey individual{individual_key_id(1), 1, rng.bytes(8)};
   client.install_individual_key(individual);
 
-  rekey::RekeyEncryptor encryptor(CipherAlgorithm::kDes, rng);
-  rekey::RekeyMessage message;
-  message.epoch = 2;
+  rekey::RekeyPlanner planner(CipherAlgorithm::kDes, rng);
+  rekey::PlannedRekey message;
+  message.header.epoch = 2;
   const SymmetricKey group{100, 2, rng.bytes(8)};
-  message.blobs.push_back(encryptor.wrap(individual, std::span(&group, 1)));
+  message.ops.push_back(planner.wrap(individual, std::span(&group, 1)));
   for (int i = 0; i < 11; ++i) {  // blobs for other subtrees
     const SymmetricKey other{200 + static_cast<KeyId>(i), 1, rng.bytes(8)};
     const SymmetricKey target{300 + static_cast<KeyId>(i), 1, rng.bytes(8)};
-    message.blobs.push_back(encryptor.wrap(other, std::span(&target, 1)));
+    message.ops.push_back(planner.wrap(other, std::span(&target, 1)));
   }
   const rekey::RekeySealer sealer(rekey::SigningMode::kNone,
                                   DigestAlgorithm::kNone, nullptr);
-  const Bytes wire = sealer.seal(std::span(&message, 1))[0];
+  rekey::RekeyExecutor executor(CipherAlgorithm::kDes, 1);
+  const Bytes wire =
+      executor.seal(planner.take({std::move(message)}), sealer).front().wire;
   for (auto _ : state) {
     benchmark::DoNotOptimize(client.handle_rekey(wire));
   }

@@ -94,8 +94,17 @@ KeyTree::NodeIndex KeyTree::find_join_parent() const {
   }
 }
 
-std::pair<KeyTree::NodeIndex, std::optional<SymmetricKey>>
-KeyTree::attach_leaf(NodeIndex leaf) {
+KeyTree::LeafInsert KeyTree::insert_leaf(UserId user, Bytes individual_key) {
+  const NodeIndex leaf = make_node(individual_key_id(user));
+  {
+    Node& node = at(leaf);
+    node.user = user;
+    node.secret = std::move(individual_key);
+    node.version = 1;
+    node.user_count = 1;
+  }
+  user_leaves_.emplace(user, leaf);
+
   const NodeIndex target = find_join_parent();
   NodeIndex attach_parent = target;
   std::optional<SymmetricKey> split_leaf_key;
@@ -124,7 +133,31 @@ KeyTree::attach_leaf(NodeIndex leaf) {
   at(attach_parent).children.push_back(leaf);
   at(leaf).parent = attach_parent;
   bump_counts(attach_parent, +1);
-  return {attach_parent, std::move(split_leaf_key)};
+  return {leaf, attach_parent, std::move(split_leaf_key)};
+}
+
+KeyTree::NodeIndex KeyTree::remove_leaf(UserId user,
+                                        std::vector<KeyId>& removed) {
+  const auto it = user_leaves_.find(user);
+  const NodeIndex leaf = it->second;
+  const NodeIndex parent = at(leaf).parent;
+  user_leaves_.erase(it);
+  removed.push_back(at(leaf).id);
+  std::erase(at(parent).children, leaf);
+  bump_counts(parent, -1);
+  destroy_node(leaf);
+
+  if (at(parent).parent == kNil || at(parent).children.size() != 1) {
+    return parent;
+  }
+  const NodeIndex child = at(parent).children.front();
+  const NodeIndex grandparent = at(parent).parent;
+  auto& uncles = at(grandparent).children;
+  *std::find(uncles.begin(), uncles.end(), parent) = child;
+  at(child).parent = grandparent;
+  removed.push_back(at(parent).id);
+  destroy_node(parent);
+  return grandparent;
 }
 
 JoinRecord KeyTree::join(UserId user, Bytes individual_key) {
@@ -135,17 +168,8 @@ JoinRecord KeyTree::join(UserId user, Bytes individual_key) {
     throw ProtocolError("KeyTree: individual key has wrong size");
   }
 
-  const NodeIndex leaf = make_node(individual_key_id(user));
-  {
-    Node& node = at(leaf);
-    node.user = user;
-    node.secret = std::move(individual_key);
-    node.version = 1;
-    node.user_count = 1;
-  }
-  user_leaves_.emplace(user, leaf);
-
-  const auto [attach_parent, split_leaf_key] = attach_leaf(leaf);
+  const auto [leaf, attach_parent, split_leaf_key] =
+      insert_leaf(user, std::move(individual_key));
 
   // The pre-join key of every ancestor is what existing members hold; it
   // wraps the corresponding new key. Capture before refreshing.
@@ -183,35 +207,12 @@ JoinRecord KeyTree::join(UserId user, Bytes individual_key) {
 }
 
 LeaveRecord KeyTree::leave(UserId user) {
-  auto it = user_leaves_.find(user);
-  if (it == user_leaves_.end()) {
+  if (!user_leaves_.contains(user)) {
     throw ProtocolError("KeyTree: user not in group");
   }
-  const NodeIndex leaf = it->second;
-  const NodeIndex parent = at(leaf).parent;
-  user_leaves_.erase(it);
-
   LeaveRecord record;
   record.user = user;
-  record.removed_nodes.push_back(at(leaf).id);
-
-  std::erase(at(parent).children, leaf);
-  bump_counts(parent, -1);
-  destroy_node(leaf);
-
-  // Splice out a non-root parent left with a single child: the child keeps
-  // its own key and moves up one level, shrinking user keysets by one key.
-  NodeIndex rekey_start = parent;
-  if (at(parent).parent != kNil && at(parent).children.size() == 1) {
-    const NodeIndex child = at(parent).children.front();
-    const NodeIndex grandparent = at(parent).parent;
-    auto& uncles = at(grandparent).children;
-    *std::find(uncles.begin(), uncles.end(), parent) = child;
-    at(child).parent = grandparent;
-    record.removed_nodes.push_back(at(parent).id);
-    destroy_node(parent);
-    rekey_start = grandparent;
-  }
+  const NodeIndex rekey_start = remove_leaf(user, record.removed_nodes);
 
   std::vector<NodeIndex> path;  // rekey start up to root
   for (NodeIndex i = rekey_start; i != kNil; i = at(i).parent) {
@@ -274,26 +275,13 @@ BatchRecord KeyTree::batch_update(
 
   // Leaves first: free the slots, mark every path to the root.
   for (UserId user : leaves) {
-    const NodeIndex leaf = user_leaves_.at(user);
-    const NodeIndex parent = at(leaf).parent;
-    user_leaves_.erase(user);
-    record.removed_nodes.push_back(at(leaf).id);
+    const std::size_t removed_before = record.removed_nodes.size();
+    const NodeIndex start = remove_leaf(user, record.removed_nodes);
     record.left.push_back(user);
-    std::erase(at(parent).children, leaf);
-    bump_counts(parent, -1);
-    destroy_node(leaf);
-
-    NodeIndex start = parent;
-    if (at(parent).parent != kNil && at(parent).children.size() == 1) {
-      const NodeIndex child = at(parent).children.front();
-      const NodeIndex grandparent = at(parent).parent;
-      auto& uncles = at(grandparent).children;
-      *std::find(uncles.begin(), uncles.end(), parent) = child;
-      at(child).parent = grandparent;
-      record.removed_nodes.push_back(at(parent).id);
-      changed.erase(at(parent).id);  // may be marked by a prior leave
-      destroy_node(parent);
-      start = grandparent;
+    // A spliced-out parent may have been marked by a prior leave.
+    for (std::size_t i = removed_before; i < record.removed_nodes.size();
+         ++i) {
+      changed.erase(record.removed_nodes[i]);
     }
     for (NodeIndex i = start; i != kNil; i = at(i).parent) {
       changed.insert(at(i).id);
@@ -302,17 +290,7 @@ BatchRecord KeyTree::batch_update(
 
   // Then joins: attach per the balance heuristic, mark the paths.
   for (const auto& [user, key] : joins) {
-    const NodeIndex leaf = make_node(individual_key_id(user));
-    {
-      Node& node = at(leaf);
-      node.user = user;
-      node.secret = key;
-      node.version = 1;
-      node.user_count = 1;
-    }
-    user_leaves_.emplace(user, leaf);
-
-    const NodeIndex attach_parent = attach_leaf(leaf).first;
+    const NodeIndex attach_parent = insert_leaf(user, key).parent;
     for (NodeIndex i = attach_parent; i != kNil; i = at(i).parent) {
       changed.insert(at(i).id);
     }

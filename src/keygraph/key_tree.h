@@ -237,11 +237,23 @@ class KeyTree {
   void refresh_key(Node& node);
   [[nodiscard]] NodeIndex find_join_parent() const;
   void bump_counts(NodeIndex from, std::ptrdiff_t delta);
-  /// Attaches a (pre-made) leaf per the balance heuristic; returns the
-  /// attach parent and, when a full leaf had to be split, that leaf's
-  /// pre-split individual key. Shared by join() and batch_update().
-  std::pair<NodeIndex, std::optional<SymmetricKey>> attach_leaf(
-      NodeIndex leaf);
+  /// Where insert_leaf() put a new user's leaf.
+  struct LeafInsert {
+    NodeIndex leaf;
+    NodeIndex parent;
+    /// The split leaf's pre-split individual key, when a full leaf had to
+    /// be split to make room.
+    std::optional<SymmetricKey> split_leaf_key;
+  };
+  /// Creates `user`'s leaf and attaches it per the balance heuristic.
+  /// Shared by join() and batch_update().
+  LeafInsert insert_leaf(UserId user, Bytes individual_key);
+  /// Detaches and destroys `user`'s leaf, splicing out a non-root parent
+  /// left with a single child (that child keeps its key and moves up one
+  /// level). Appends the destroyed node ids to `removed` and returns the
+  /// lowest surviving node whose key must change. Shared by leave() and
+  /// batch_update().
+  NodeIndex remove_leaf(UserId user, std::vector<KeyId>& removed);
   /// Writer-side keyset (live arena, mid-mutation safe).
   [[nodiscard]] std::vector<SymmetricKey> arena_keyset(UserId user) const;
   /// Builds a fresh immutable snapshot and swaps it in; refreshes the

@@ -58,11 +58,4 @@ std::vector<PlannedRekey> plan_batch(const BatchRecord& record,
   return out;
 }
 
-std::vector<OutboundRekey> plan_batch(const BatchRecord& record,
-                                      RekeyEncryptor& encryptor) {
-  RekeyPlanner planner(encryptor.cipher(), encryptor.rng());
-  std::vector<PlannedRekey> messages = plan_batch(record, planner);
-  return materialize(planner.take(std::move(messages)), encryptor);
-}
-
 }  // namespace keygraphs::rekey

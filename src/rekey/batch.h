@@ -20,8 +20,4 @@ namespace keygraphs::rekey {
 std::vector<PlannedRekey> plan_batch(const BatchRecord& record,
                                      RekeyPlanner& planner);
 
-/// Eager form (plan + serial materialize), for tests and tools.
-std::vector<OutboundRekey> plan_batch(const BatchRecord& record,
-                                      RekeyEncryptor& encryptor);
-
 }  // namespace keygraphs::rekey

@@ -21,44 +21,6 @@ std::string signing_mode_name(SigningMode mode) {
   return "?";
 }
 
-RekeyEncryptor::RekeyEncryptor(crypto::CipherAlgorithm cipher,
-                               crypto::SecureRandom& rng)
-    : cipher_(cipher), rng_(rng) {}
-
-KeyBlob RekeyEncryptor::wrap(const SymmetricKey& wrapping,
-                             std::span<const SymmetricKey> targets) {
-  if (targets.empty()) throw Error("RekeyEncryptor: empty target list");
-  // CbcCipher::encrypt(pt, rng) is exactly encrypt_with_iv(pt,
-  // rng.bytes(block)), so drawing the IV here keeps the RNG stream — and
-  // therefore every golden wire byte — identical to the eager path.
-  return wrap_with_iv(wrapping, targets,
-                      rng_.bytes(crypto::cipher_block_size(cipher_)));
-}
-
-KeyBlob RekeyEncryptor::wrap_with_iv(const SymmetricKey& wrapping,
-                                     std::span<const SymmetricKey> targets,
-                                     BytesView iv) {
-  if (targets.empty()) throw Error("RekeyEncryptor: empty target list");
-  KeyBlob blob;
-  blob.wrap = wrapping.ref();
-  Bytes plaintext;
-  for (const SymmetricKey& target : targets) {
-    blob.targets.push_back(target.ref());
-    plaintext.insert(plaintext.end(), target.secret.begin(),
-                     target.secret.end());
-  }
-  const crypto::CbcCipher cbc(crypto::make_cipher(cipher_, wrapping.secret));
-  blob.ciphertext = cbc.encrypt_with_iv(plaintext, iv);
-  key_encryptions_ += targets.size();
-  if (telemetry::enabled()) {
-    static auto& encryptions =
-        telemetry::Registry::global().counter("rekey.key_encryptions");
-    encryptions.add(targets.size());
-  }
-  secure_wipe(plaintext);
-  return blob;
-}
-
 RekeySealer::RekeySealer(SigningMode mode, crypto::DigestAlgorithm digest,
                          const crypto::RsaPrivateKey* signer)
     : mode_(mode), digest_(digest), signer_(signer) {
@@ -134,37 +96,6 @@ Bytes RekeySealer::envelope(
       break;
   }
   return writer.take();
-}
-
-std::vector<Bytes> RekeySealer::seal(
-    std::span<const RekeyMessage> messages) const {
-  using telemetry::Stage;
-  using telemetry::StageScope;
-
-  std::vector<Bytes> bodies;
-  bodies.reserve(messages.size());
-  {
-    const StageScope scope(Stage::kSerialize);
-    for (const RekeyMessage& message : messages) {
-      bodies.push_back(message.serialize_body());
-    }
-  }
-
-  std::vector<merkle::BatchSignatureItem> batch;
-  if (mode_ == SigningMode::kBatch && !bodies.empty()) {
-    const StageScope scope(Stage::kSign);
-    batch = merkle::batch_sign(*signer_, digest_, bodies);
-  }
-
-  // Envelope assembly is serialization; the digest/signature computations
-  // inside envelope() charge the sign stage (nesting subtracts them here).
-  const StageScope envelope_scope(Stage::kSerialize);
-  std::vector<Bytes> wire;
-  wire.reserve(bodies.size());
-  for (std::size_t i = 0; i < bodies.size(); ++i) {
-    wire.push_back(envelope(bodies[i], batch.empty() ? nullptr : &batch[i]));
-  }
-  return wire;
 }
 
 RekeyOpener::RekeyOpener(const crypto::RsaPublicKey* server_key)

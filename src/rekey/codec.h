@@ -1,16 +1,13 @@
-// Encryption, sealing and opening of rekey messages.
+// Authentication and opening of rekey messages.
 //
-// RekeyEncryptor turns new keys into KeyBlobs (counting key encryptions,
-// the paper's Section 3.5 cost unit). RekeySealer applies the
-// authentication policy to the batch of messages produced by one join/leave
-// (none, digest, one signature per message, or the Section 4 batch
-// signature). RekeyOpener is the client side: parse, verify, expose body.
+// RekeySealer holds the server's authentication policy for the messages of
+// one operation (none, digest, one signature per message, or the Section 4
+// batch signature) and builds each message's wire envelope; the
+// RekeyExecutor (rekey/executor.h) drives it and is the only path that
+// turns a plan into wire bytes. RekeyOpener is the client side: parse,
+// verify, expose body.
 #pragma once
 
-#include <span>
-
-#include "crypto/cbc.h"
-#include "crypto/random.h"
 #include "crypto/rsa.h"
 #include "crypto/suite.h"
 #include "merkle/batch_signer.h"
@@ -28,40 +25,6 @@ enum class SigningMode : std::uint8_t {
 
 std::string signing_mode_name(SigningMode mode);
 
-/// Builds KeyBlobs and counts the key encryptions performed.
-class RekeyEncryptor {
- public:
-  RekeyEncryptor(crypto::CipherAlgorithm cipher, crypto::SecureRandom& rng);
-
-  /// Encrypts the concatenated secrets of `targets` under `wrapping`.
-  /// Counts targets.size() key encryptions, matching the paper's cost
-  /// bookkeeping (a combined user-oriented blob of i keys costs i).
-  [[nodiscard]] KeyBlob wrap(const SymmetricKey& wrapping,
-                             std::span<const SymmetricKey> targets);
-
-  /// wrap() with a caller-supplied IV (exactly one cipher block). The
-  /// pipeline's materialization path uses this with IVs pre-drawn at plan
-  /// time; wrap() is this plus a fresh IV from the encryptor's RNG.
-  [[nodiscard]] KeyBlob wrap_with_iv(const SymmetricKey& wrapping,
-                                     std::span<const SymmetricKey> targets,
-                                     BytesView iv);
-
-  [[nodiscard]] std::size_t key_encryptions() const noexcept {
-    return key_encryptions_;
-  }
-  void reset_counters() noexcept { key_encryptions_ = 0; }
-
-  [[nodiscard]] crypto::CipherAlgorithm cipher() const noexcept {
-    return cipher_;
-  }
-  [[nodiscard]] crypto::SecureRandom& rng() noexcept { return rng_; }
-
- private:
-  crypto::CipherAlgorithm cipher_;
-  crypto::SecureRandom& rng_;
-  std::size_t key_encryptions_ = 0;
-};
-
 /// Applies a signing policy to the rekey messages of one operation.
 class RekeySealer {
  public:
@@ -69,13 +32,7 @@ class RekeySealer {
   RekeySealer(SigningMode mode, crypto::DigestAlgorithm digest,
               const crypto::RsaPrivateKey* signer);
 
-  /// Seals a batch (all messages of one join/leave). Returns wire bytes in
-  /// input order. For kBatch mode, one RSA signature covers the whole batch
-  /// via a Merkle digest tree; each message carries its auth path.
-  [[nodiscard]] std::vector<Bytes> seal(
-      std::span<const RekeyMessage> messages) const;
-
-  /// Number of RSA signature operations seal() would use for `n` messages.
+  /// Number of RSA signature operations sealing `n` messages takes.
   [[nodiscard]] std::size_t signatures_for(std::size_t n) const;
 
   [[nodiscard]] SigningMode mode() const noexcept { return mode_; }

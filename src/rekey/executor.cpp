@@ -2,6 +2,7 @@
 
 #include <unordered_set>
 
+#include "crypto/cbc.h"
 #include "telemetry/stage.h"
 
 namespace keygraphs::rekey {

@@ -98,12 +98,6 @@ struct Recipient {
   }
 };
 
-/// A planned rekey message together with where it goes.
-struct OutboundRekey {
-  Recipient to;
-  RekeyMessage message;
-};
-
 /// Datagram framing shared by the whole protocol (requests, acks, rekeys,
 /// application payloads). One byte of type plus the payload.
 enum class MessageType : std::uint8_t {

@@ -1,7 +1,6 @@
 #include "rekey/plan.h"
 
 #include "common/error.h"
-#include "rekey/codec.h"
 
 namespace keygraphs::rekey {
 
@@ -59,38 +58,6 @@ RekeyPlan RekeyPlanner::take(std::vector<PlannedRekey> messages) {
   plan_.messages = std::move(messages);
   plan_.key_encryptions = key_encryptions_;
   return std::move(plan_);
-}
-
-std::vector<OutboundRekey> materialize(const RekeyPlan& plan,
-                                       RekeyEncryptor& encryptor) {
-  std::vector<KeyBlob> blobs;
-  blobs.reserve(plan.ops.size());
-  for (const WrapOp& op : plan.ops) {
-    const BytesView wrap_secret = plan.keys.secret(op.wrap);
-    SymmetricKey wrapping{op.wrap.id, op.wrap.version,
-                          Bytes(wrap_secret.begin(), wrap_secret.end())};
-    std::vector<SymmetricKey> targets;
-    targets.reserve(op.targets.size());
-    for (const KeyRef& ref : op.targets) {
-      const BytesView target_secret = plan.keys.secret(ref);
-      targets.push_back({ref.id, ref.version,
-                         Bytes(target_secret.begin(), target_secret.end())});
-    }
-    blobs.push_back(encryptor.wrap_with_iv(wrapping, targets, op.iv));
-    secure_wipe(wrapping.secret);
-    for (SymmetricKey& target : targets) secure_wipe(target.secret);
-  }
-  std::vector<OutboundRekey> out;
-  out.reserve(plan.messages.size());
-  for (const PlannedRekey& planned : plan.messages) {
-    OutboundRekey outbound{planned.to, planned.header};
-    outbound.message.blobs.reserve(planned.ops.size());
-    for (const std::uint32_t op : planned.ops) {
-      outbound.message.blobs.push_back(blobs[op]);
-    }
-    out.push_back(std::move(outbound));
-  }
-  return out;
 }
 
 }  // namespace keygraphs::rekey

@@ -1,17 +1,21 @@
 // The intermediate representation between the rekey pipeline's phases.
 //
-// The plan phase (strategy code, running under the server lock) no longer
-// encrypts anything: it emits symbolic WrapOps — "targets' secrets under
-// this wrapping key" — plus the messages that reference them by index, and
-// snapshots every key secret an op needs. The seal phase (RekeyExecutor)
-// later resolves the ops against that immutable snapshot on any number of
-// worker threads. Because ops carry a pre-drawn IV, sealing is fully
-// deterministic and workers never touch the (single-threaded) SecureRandom.
+// The plan phase (strategy code, running under the server lock) encrypts
+// nothing: it emits symbolic WrapOps — "targets' secrets under this
+// wrapping key" — plus the messages that reference them by index, and
+// snapshots every key secret an op needs. The seal phase (RekeyExecutor,
+// the only path from a plan to wire bytes) later resolves the ops against
+// that immutable snapshot on any number of worker threads. Because ops
+// carry a pre-drawn IV, sealing is fully deterministic and workers never
+// touch the (single-threaded) SecureRandom.
 //
-// Blob sharing is first-class: a message lists op *indices*, so the
-// key-oriented leave chain of Figure 8 (each link encrypted once, reused in
-// every message below it) is one op referenced by many messages, and the
-// paper's encryption counts stay exact.
+// A plan is also where the paper's Section 3 results are read off:
+// `key_encryptions` is the Section 3.5 cost, `messages[i].to` the
+// recipients, and `ops[j].wrap`/`targets` each blob's keys. Blob sharing is
+// first-class: a message lists op *indices*, so the key-oriented leave
+// chain of Figure 8 (each link encrypted once, reused in every message
+// below it) is one op referenced by many messages, and the paper's
+// encryption counts stay exact.
 #pragma once
 
 #include <cstdint>
@@ -25,8 +29,6 @@
 #include "rekey/message.h"
 
 namespace keygraphs::rekey {
-
-class RekeyEncryptor;
 
 /// One deferred key encryption: the concatenated secrets of `targets`
 /// CBC-encrypted under `wrap` with the pre-drawn `iv`.
@@ -42,9 +44,10 @@ struct WrapOp {
 /// When bound to a TreeView, current-generation keys resolve straight from
 /// the view's pooled secret buffer — holding the view's refcount instead of
 /// copying key material. Only keys the view cannot answer (old generations,
-/// keys of deleted nodes) land in the overlay map. Unbound snapshots (the
-/// compatibility path) copy everything, as before. Overlay secrets are
-/// wiped on destruction; view secrets are wiped by the view's destructor.
+/// keys of deleted nodes) land in the overlay map. Unbound snapshots (plans
+/// made without a view, as the tests and benches make them) copy
+/// everything. Overlay secrets are wiped on destruction; view secrets are
+/// wiped by the view's destructor.
 class KeySnapshot {
  public:
   KeySnapshot() = default;
@@ -91,9 +94,9 @@ struct RekeyPlan {
 };
 
 /// The strategies' planning interface: records ops instead of encrypting.
-/// Draws each op's IV from `rng` immediately, in wrap-call order, so a
-/// planned-then-sealed run consumes the RNG stream exactly like the old
-/// eager path — and the seal phase needs no randomness at all.
+/// Draws each op's IV from `rng` immediately, in wrap-call order, so the
+/// RNG stream (and with it every wire byte) depends only on the plan, and
+/// the seal phase needs no randomness at all.
 class RekeyPlanner {
  public:
   RekeyPlanner(crypto::CipherAlgorithm cipher, crypto::SecureRandom& rng);
@@ -105,8 +108,8 @@ class RekeyPlanner {
                TreeViewPtr view);
 
   /// Registers one wrap op and returns its index for message references.
-  /// Counts targets.size() key encryptions. Throws on an empty target list
-  /// (matching RekeyEncryptor::wrap).
+  /// Counts targets.size() key encryptions (a combined user-oriented blob
+  /// of i keys costs i). Throws on an empty target list.
   [[nodiscard]] std::uint32_t wrap(const SymmetricKey& wrapping,
                                    std::span<const SymmetricKey> targets);
 
@@ -124,12 +127,5 @@ class RekeyPlanner {
   RekeyPlan plan_;
   std::size_t key_encryptions_ = 0;
 };
-
-/// Resolves a plan serially through `encryptor` (which counts the
-/// encryptions) into materialized messages — the pre-pipeline behavior.
-/// Tests and the compatibility overloads on RekeyStrategy use this; the
-/// server path uses RekeyExecutor instead.
-[[nodiscard]] std::vector<OutboundRekey> materialize(const RekeyPlan& plan,
-                                                     RekeyEncryptor& encryptor);
 
 }  // namespace keygraphs::rekey

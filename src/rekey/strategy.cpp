@@ -9,20 +9,6 @@
 
 namespace keygraphs::rekey {
 
-std::vector<OutboundRekey> RekeyStrategy::plan_join(
-    const JoinRecord& record, RekeyEncryptor& encryptor) const {
-  RekeyPlanner planner(encryptor.cipher(), encryptor.rng());
-  std::vector<PlannedRekey> messages = plan_join(record, planner);
-  return materialize(planner.take(std::move(messages)), encryptor);
-}
-
-std::vector<OutboundRekey> RekeyStrategy::plan_leave(
-    const LeaveRecord& record, RekeyEncryptor& encryptor) const {
-  RekeyPlanner planner(encryptor.cipher(), encryptor.rng());
-  std::vector<PlannedRekey> messages = plan_leave(record, planner);
-  return materialize(planner.take(std::move(messages)), encryptor);
-}
-
 std::unique_ptr<RekeyStrategy> make_strategy(StrategyKind kind) {
   switch (kind) {
     case StrategyKind::kUserOriented:

@@ -8,16 +8,11 @@
 // three strategies of the paper plus the Section 7 hybrid all implement
 // this interface, so the server, the tests, and every benchmark treat them
 // uniformly.
-//
-// The non-virtual RekeyEncryptor overloads reproduce the pre-pipeline
-// eager behavior (plan + materialize in one call) for tests and tools that
-// want finished messages immediately.
 #pragma once
 
 #include <memory>
 
 #include "keygraph/key_tree.h"
-#include "rekey/codec.h"
 #include "rekey/message.h"
 #include "rekey/plan.h"
 
@@ -37,15 +32,6 @@ class RekeyStrategy {
   /// Messages for a leave (no message goes to the departed user).
   [[nodiscard]] virtual std::vector<PlannedRekey> plan_leave(
       const LeaveRecord& record, RekeyPlanner& planner) const = 0;
-
-  /// Eager form: plans against `encryptor`'s cipher and RNG, then
-  /// materializes the blobs serially through it (counting its encryptions),
-  /// byte-identical to the pre-pipeline path.
-  [[nodiscard]] std::vector<OutboundRekey> plan_join(
-      const JoinRecord& record, RekeyEncryptor& encryptor) const;
-
-  [[nodiscard]] std::vector<OutboundRekey> plan_leave(
-      const LeaveRecord& record, RekeyEncryptor& encryptor) const;
 };
 
 /// Factory for all four strategies.

@@ -224,11 +224,9 @@ ServerSpec parse_server_spec(std::string_view text) {
         spec.config.storage.kind = storage::Kind::kMemory;
       } else if (value == "file") {
         spec.config.storage.kind = storage::Kind::kFile;
-      } else if (value == "mmap") {
-        spec.config.storage.kind = storage::Kind::kMmap;
       } else {
         fail(line_number, "unknown storage backend '" + std::string(value) +
-                              "'");
+                              "' (expected none|memory|file)");
       }
     } else if (key == "journal_dir") {
       if (value.empty()) fail(line_number, "journal_dir must not be empty");
@@ -296,14 +294,10 @@ ServerSpec parse_server_spec(std::string_view text) {
       !spec.config.suite.signs()) {
     throw ProtocolError("spec: signing mode requires signature != none");
   }
-  // The disk-backed journals need somewhere to live.
-  if ((spec.config.storage.kind == storage::Kind::kFile ||
-       spec.config.storage.kind == storage::Kind::kMmap) &&
+  // The disk journal needs somewhere to live.
+  if (spec.config.storage.kind == storage::Kind::kFile &&
       spec.config.storage.journal_dir.empty()) {
-    throw ProtocolError("spec: storage = " +
-                        std::string(storage::kind_name(
-                            spec.config.storage.kind)) +
-                        " requires journal_dir");
+    throw ProtocolError("spec: storage = file requires journal_dir");
   }
   return spec;
 }

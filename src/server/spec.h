@@ -32,10 +32,10 @@
 //   client_schedule_cache_capacity = <1..1048576 cached unwrap schedules
 //                                     handed to clients at admission;
 //                                     default 64>
-//   storage       = none | memory | file | mmap   (write-ahead journal
-//                   backend; default none. file/mmap require journal_dir)
-//   journal_dir   = <directory for the file/mmap journal + snapshots;
-//                    created if absent>
+//   storage       = none | memory | file   (write-ahead journal backend;
+//                   default none. file requires journal_dir)
+//   journal_dir   = <directory for the file journal + snapshots; created
+//                    if absent>
 //   snapshot_interval = <journal records between compacted snapshots;
 //                        0 = never compact; default 1024>
 //   overload      = on | off   (overload control: bounded admission, load

@@ -16,8 +16,8 @@
 //
 // Sharing the journal: tests hand both servers one make_memory_backend()
 // instance via StorageConfig::backend; across processes, both point
-// `journal_dir` at the same directory (file or mmap backend) — the
-// standby only ever reads until promotion.
+// `journal_dir` at the same directory (file backend) — the standby only
+// ever reads until promotion.
 //
 // Caveat: replay reproduces signed bytes only when the replica owns the
 // same RSA signer (same rng_seed), because the signing key is drawn at

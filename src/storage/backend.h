@@ -8,15 +8,14 @@
 // (the hot standby) detects that its byte offsets were invalidated and it
 // must re-anchor on the new snapshot.
 //
-// Three implementations (ROADMAP's multi-backend factory pattern):
+// Two implementations:
 //   memory — RAM only; shareable between a primary and an in-process
 //            standby via the shared_ptr, and the unit-test workhorse.
-//   file   — one fsync'd segment file per (lane, generation) plus an
-//            atomically-replaced snapshot file. Crash-durable.
-//   mmap   — appends go through a memory mapping with a committed-length
-//            header (bytes past `committed` are by definition torn and
-//            ignored), msync'd on sync(). Snapshot/meta reuse the file
-//            path. Trades write syscalls for mapping maintenance.
+//   file   — one fdatasync'd segment file per (lane, generation) plus an
+//            atomically-replaced snapshot file. Crash-durable: a segment's
+//            directory entry is fsync'd before its first sync() returns.
+// The interface stays virtual so decorators (fault injection, timing) can
+// wrap either one.
 //
 // Durability contract: append() makes bytes *visible* to readers of this
 // backend; sync() makes everything appended to the lane so far *durable*.
@@ -39,10 +38,7 @@ enum class Kind : std::uint8_t {
   kNone = 0,  ///< durability disabled (the pre-PR-8 behavior)
   kMemory = 1,
   kFile = 2,
-  kMmap = 3,
 };
-
-[[nodiscard]] const char* kind_name(Kind kind) noexcept;
 
 class StorageBackend {
  public:
@@ -81,8 +77,8 @@ class StorageBackend {
 /// kind + journal_dir via make_backend().
 struct StorageConfig {
   Kind kind = Kind::kNone;
-  /// Directory for file/mmap backends (created if absent). Spec key
-  /// `journal_dir`; required for those kinds.
+  /// Directory for the file backend (created if absent). Spec key
+  /// `journal_dir`; required for kFile.
   std::string journal_dir;
   /// Committed records between compacted snapshots; 0 = never compact.
   /// Spec key `snapshot_interval`. Ignored at K>1 (a sharded server's
@@ -96,8 +92,8 @@ struct StorageConfig {
 };
 
 /// Builds the configured backend with `lanes` journal lanes. Throws
-/// StorageError for kNone, for a missing journal_dir on the disk-backed
-/// kinds, or when the directory cannot be created/written.
+/// StorageError for kNone, for a missing journal_dir with kFile, or when
+/// the directory cannot be created/written.
 [[nodiscard]] std::shared_ptr<StorageBackend> make_backend(
     const StorageConfig& config, std::size_t lanes);
 
@@ -106,8 +102,6 @@ struct StorageConfig {
 [[nodiscard]] std::shared_ptr<StorageBackend> make_memory_backend(
     std::size_t lanes);
 [[nodiscard]] std::shared_ptr<StorageBackend> make_file_backend(
-    const std::string& dir, std::size_t lanes);
-[[nodiscard]] std::shared_ptr<StorageBackend> make_mmap_backend(
     const std::string& dir, std::size_t lanes);
 
 }  // namespace keygraphs::storage

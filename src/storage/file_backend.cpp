@@ -1,9 +1,13 @@
 // File backend: one append-only segment file per (lane, generation),
-// fdatasync'd on sync(), plus the shared meta/snapshot files from
-// fs_util.h. Single-writer / multi-reader: the owning server is the only
-// appender and compactor, so it trusts its cached generation; readers
-// (a standby process tailing the same directory) re-read meta on every
-// call so they notice compactions done under their feet.
+// fdatasync'd on sync(), plus the meta/snapshot files from fs_util.h. A
+// segment this process creates also gets its directory entry fsync'd
+// before its first sync() returns, so the first records of a new segment
+// (the first commit after boot, and after each compaction) survive a
+// crash like every later one. Single-writer / multi-reader: the owning
+// server is the only appender and compactor, so it trusts its cached
+// generation; readers (a standby process tailing the same directory)
+// re-read meta on every call so they notice compactions done under their
+// feet.
 #include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
@@ -27,7 +31,7 @@ namespace {
 class FileBackend final : public StorageBackend {
  public:
   FileBackend(std::string dir, std::size_t lanes)
-      : dir_(std::move(dir)), fds_(lanes, -1) {
+      : dir_(std::move(dir)), fds_(lanes, -1), created_(lanes, false) {
     ensure_journal_dir(dir_);
     generation_ = read_generation(dir_);
   }
@@ -61,9 +65,12 @@ class FileBackend final : public StorageBackend {
     const std::lock_guard<std::mutex> lock(mutex_);
     check_lane(lane);
     const int fd = fds_[lane];
-    if (fd < 0) return;  // nothing appended yet
-    if (::fdatasync(fd) != 0) {
+    if (fd >= 0 && ::fdatasync(fd) != 0) {
       throw_errno("fdatasync " + seg_path(lane, generation_));
+    }
+    if (created_[lane]) {
+      fsync_path(dir_);  // the new segment's directory entry
+      created_[lane] = false;
     }
   }
 
@@ -143,7 +150,7 @@ class FileBackend final : public StorageBackend {
 
   [[nodiscard]] std::string seg_path(std::size_t lane,
                                      std::uint64_t generation) const {
-    return segment_path(dir_, lane, generation, ".log");
+    return segment_path(dir_, lane, generation);
   }
 
   [[nodiscard]] int writer_fd(std::size_t lane) {
@@ -151,7 +158,12 @@ class FileBackend final : public StorageBackend {
     int& fd = fds_[lane];
     if (fd < 0) {
       const std::string path = seg_path(lane, generation_);
-      fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
+      fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_APPEND, 0644);
+      if (fd >= 0) {
+        created_[lane] = true;
+      } else if (errno == EEXIST) {
+        fd = ::open(path.c_str(), O_WRONLY | O_APPEND);
+      }
       if (fd < 0) throw_errno("open " + path);
     }
     return fd;
@@ -161,6 +173,7 @@ class FileBackend final : public StorageBackend {
   mutable std::mutex mutex_;
   std::uint64_t generation_ = 0;     // writer's cached view of meta
   std::vector<int> fds_;             // lazily opened per-lane segment fds
+  std::vector<bool> created_;        // segment created, dir entry unsynced
 };
 
 }  // namespace

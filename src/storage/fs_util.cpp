@@ -164,9 +164,9 @@ void write_snapshot_file(const std::string& dir, std::uint64_t epoch,
 }
 
 std::string segment_path(const std::string& dir, std::size_t lane,
-                         std::uint64_t generation, const char* suffix) {
+                         std::uint64_t generation) {
   return dir + "/wal." + std::to_string(lane) + ".g" +
-         std::to_string(generation) + suffix;
+         std::to_string(generation) + ".log";
 }
 
 void remove_stale_segments(const std::string& dir, std::uint64_t keep) {

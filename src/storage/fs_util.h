@@ -1,5 +1,5 @@
-// Filesystem plumbing shared by the file and mmap backends: directory
-// preparation, atomic (tmp + rename + fsync) replacement, and the two
+// Filesystem plumbing of the file backend: directory preparation, atomic
+// (tmp + rename + fsync) replacement, journal segment naming, and the two
 // small self-describing metadata files —
 //
 //   meta          u32 magic 'KGMT' | u64 generation | u32 crc
@@ -46,12 +46,11 @@ read_snapshot_file(const std::string& dir);
 void write_snapshot_file(const std::string& dir, std::uint64_t epoch,
                          BytesView payload);
 
-/// `dir`/wal.`lane`.g`generation` + `suffix` — the per-(lane, generation)
-/// journal segment naming both disk backends share.
+/// `dir`/wal.`lane`.g`generation`.log — the per-(lane, generation)
+/// journal segment.
 [[nodiscard]] std::string segment_path(const std::string& dir,
                                        std::size_t lane,
-                                       std::uint64_t generation,
-                                       const char* suffix);
+                                       std::uint64_t generation);
 
 /// Deletes journal segments in `dir` whose embedded generation differs
 /// from `keep` (stale leftovers of an interrupted compaction).

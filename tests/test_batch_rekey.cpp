@@ -7,7 +7,7 @@
 #include <set>
 
 #include "common/error.h"
-#include "rekey/batch.h"
+#include "rekey_plans.h"
 #include "sim/simulator.h"
 #include "sim/workload.h"
 
@@ -54,8 +54,7 @@ TEST(BatchUpdate, EmptyBatchIsNoOp) {
   const BatchRecord record = tree.batch_update({}, {});
   EXPECT_TRUE(record.changes.empty());
   EXPECT_EQ(tree.group_key(), before);
-  rekey::RekeyEncryptor encryptor(crypto::CipherAlgorithm::kDes, rng());
-  EXPECT_TRUE(rekey::plan_batch(record, encryptor).empty());
+  EXPECT_TRUE(rekey_plans::plan_batch(record, rng()).messages.empty());
 }
 
 TEST(BatchUpdate, MembershipAndInvariants) {
@@ -89,17 +88,14 @@ TEST(BatchUpdate, EachAffectedNodeRekeyedExactlyOnce) {
 
 TEST(BatchUpdate, AmortizesOverlappingPaths) {
   // Cost(batch of k leaves) must be well below k * cost(single leave).
-  rekey::RekeyEncryptor encryptor(crypto::CipherAlgorithm::kDes, rng());
-
   auto sequential_owner = build_tree(4, 256);
   KeyTree& sequential = *sequential_owner;
   std::size_t sequential_cost = 0;
   for (UserId user = 1; user <= 32; ++user) {
     const LeaveRecord record = sequential.leave(user);
-    encryptor.reset_counters();
-    (void)rekey::make_strategy(rekey::StrategyKind::kGroupOriented)
-        ->plan_leave(record, encryptor);
-    sequential_cost += encryptor.key_encryptions();
+    sequential_cost += rekey_plans::plan_leave(
+                           rekey::StrategyKind::kGroupOriented, record, rng())
+                           .key_encryptions;
   }
 
   auto batched_owner = build_tree(4, 256);
@@ -107,11 +103,10 @@ TEST(BatchUpdate, AmortizesOverlappingPaths) {
   std::vector<UserId> leavers;
   for (UserId user = 1; user <= 32; ++user) leavers.push_back(user);
   const BatchRecord record = batched.batch_update({}, leavers);
-  encryptor.reset_counters();
-  (void)rekey::plan_batch(record, encryptor);
-  EXPECT_LT(encryptor.key_encryptions(), sequential_cost / 2)
-      << "batch " << encryptor.key_encryptions() << " vs sequential "
-      << sequential_cost;
+  const std::size_t batch_cost =
+      rekey_plans::plan_batch(record, rng()).key_encryptions;
+  EXPECT_LT(batch_cost, sequential_cost / 2)
+      << "batch " << batch_cost << " vs sequential " << sequential_cost;
 }
 
 TEST(BatchUpdate, ForwardSecrecyNoBlobUnderLeaverKeys) {
@@ -125,14 +120,11 @@ TEST(BatchUpdate, ForwardSecrecyNoBlobUnderLeaverKeys) {
   }
   const BatchRecord record =
       tree.batch_update({{30, ik(30)}}, {5, 6, 17});
-  rekey::RekeyEncryptor encryptor(crypto::CipherAlgorithm::kDes, rng());
-  for (const rekey::OutboundRekey& outbound :
-       rekey::plan_batch(record, encryptor)) {
-    for (const rekey::KeyBlob& blob : outbound.message.blobs) {
-      if (blob.wrap.id == individual_key_id(30)) continue;  // joiner welcome
-      EXPECT_FALSE(leaver_refs.contains(blob.wrap))
-          << "batch blob wrapped under a leaver's key " << to_string(blob.wrap);
-    }
+  for (const rekey::WrapOp& op :
+       rekey_plans::plan_batch(record, rng()).ops) {
+    if (op.wrap.id == individual_key_id(30)) continue;  // joiner welcome
+    EXPECT_FALSE(leaver_refs.contains(op.wrap))
+        << "batch blob wrapped under a leaver's key " << to_string(op.wrap);
   }
 }
 

@@ -5,13 +5,13 @@
 #include <gtest/gtest.h>
 
 #include "common/error.h"
-#include "rekey/strategy.h"
+#include "rekey_plans.h"
 
 namespace keygraphs::client {
 namespace {
 
-using rekey::KeyBlob;
 using rekey::RekeyMessage;
+using rekey_plans::Wrap;
 
 crypto::SecureRandom& rng() {
   static crypto::SecureRandom instance(404);
@@ -33,10 +33,9 @@ SymmetricKey make_key(KeyId id, KeyVersion version) {
   return SymmetricKey{id, version, rng().bytes(8)};
 }
 
-Bytes seal_plain(const RekeyMessage& message) {
-  const rekey::RekeySealer sealer(rekey::SigningMode::kNone,
-                                  crypto::DigestAlgorithm::kNone, nullptr);
-  return sealer.seal(std::span(&message, 1))[0];
+/// `header` carrying `wraps`, sealed without authentication.
+Bytes seal_plain(const RekeyMessage& header, std::vector<Wrap> wraps = {}) {
+  return rekey_plans::seal_one({header, std::move(wraps)}, rng());
 }
 
 TEST(Client, InstallsAndReportsKeys) {
@@ -54,12 +53,11 @@ TEST(Client, DecryptsBlobWrappedWithHeldKey) {
   client.install_individual_key(individual);
 
   const SymmetricKey group = make_key(100, 5);
-  rekey::RekeyEncryptor encryptor(crypto::CipherAlgorithm::kDes, rng());
   RekeyMessage message;
   message.epoch = 1;
-  message.blobs.push_back(encryptor.wrap(individual, std::span(&group, 1)));
 
-  const RekeyOutcome outcome = client.handle_rekey(seal_plain(message));
+  const RekeyOutcome outcome =
+      client.handle_rekey(seal_plain(message, {{individual, {group}}}));
   EXPECT_TRUE(outcome.accepted);
   EXPECT_EQ(outcome.keys_changed, 1u);
   EXPECT_EQ(outcome.keys_decrypted, 1u);
@@ -73,12 +71,11 @@ TEST(Client, IgnoresBlobsWrappedWithUnknownKeys) {
 
   const SymmetricKey stranger = make_key(77, 1);
   const SymmetricKey target = make_key(100, 1);
-  rekey::RekeyEncryptor encryptor(crypto::CipherAlgorithm::kDes, rng());
   RekeyMessage message;
   message.epoch = 1;
-  message.blobs.push_back(encryptor.wrap(stranger, std::span(&target, 1)));
 
-  const RekeyOutcome outcome = client.handle_rekey(seal_plain(message));
+  const RekeyOutcome outcome =
+      client.handle_rekey(seal_plain(message, {{stranger, {target}}}));
   EXPECT_TRUE(outcome.accepted);
   EXPECT_EQ(outcome.keys_changed, 0u);
   EXPECT_FALSE(client.group_key().has_value());
@@ -93,12 +90,11 @@ TEST(Client, WrongWrapVersionIsNotDecrypted) {
   newer.version = 3;  // message wrapped with a version the client lacks
   newer.secret = rng().bytes(8);
   const SymmetricKey target = make_key(100, 1);
-  rekey::RekeyEncryptor encryptor(crypto::CipherAlgorithm::kDes, rng());
   RekeyMessage message;
   message.epoch = 1;
-  message.blobs.push_back(encryptor.wrap(newer, std::span(&target, 1)));
 
-  EXPECT_EQ(client.handle_rekey(seal_plain(message)).keys_changed, 0u);
+  const Bytes wire = seal_plain(message, {{newer, {target}}});
+  EXPECT_EQ(client.handle_rekey(wire).keys_changed, 0u);
 }
 
 TEST(Client, FixpointUnlocksChainedBlobs) {
@@ -110,13 +106,11 @@ TEST(Client, FixpointUnlocksChainedBlobs) {
 
   const SymmetricKey mid = make_key(50, 7);
   const SymmetricKey group = make_key(100, 9);
-  rekey::RekeyEncryptor encryptor(crypto::CipherAlgorithm::kDes, rng());
   RekeyMessage message;
   message.epoch = 1;
-  message.blobs.push_back(encryptor.wrap(mid, std::span(&group, 1)));
-  message.blobs.push_back(encryptor.wrap(individual, std::span(&mid, 1)));
 
-  const RekeyOutcome outcome = client.handle_rekey(seal_plain(message));
+  const RekeyOutcome outcome = client.handle_rekey(
+      seal_plain(message, {{mid, {group}}, {individual, {mid}}}));
   EXPECT_EQ(outcome.keys_changed, 2u);
   EXPECT_EQ(client.group_key()->secret, group.secret);
   EXPECT_EQ(client.find_key(50)->secret, mid.secret);
@@ -126,20 +120,19 @@ TEST(Client, OlderEpochIsStale) {
   GroupClient client(config_for(1, 100), nullptr);
   const SymmetricKey individual = make_key(individual_key_id(1), 1);
   client.install_individual_key(individual);
-  rekey::RekeyEncryptor encryptor(crypto::CipherAlgorithm::kDes, rng());
 
   RekeyMessage fresh;
   fresh.epoch = 10;
   const SymmetricKey group10 = make_key(100, 10);
-  fresh.blobs.push_back(encryptor.wrap(individual, std::span(&group10, 1)));
-  EXPECT_TRUE(client.handle_rekey(seal_plain(fresh)).accepted);
+  const Bytes fresh_wire = seal_plain(fresh, {{individual, {group10}}});
+  EXPECT_TRUE(client.handle_rekey(fresh_wire).accepted);
   EXPECT_EQ(client.last_epoch(), 10u);
 
   RekeyMessage old;
   old.epoch = 9;
   const SymmetricKey group9 = make_key(100, 9);
-  old.blobs.push_back(encryptor.wrap(individual, std::span(&group9, 1)));
-  const RekeyOutcome outcome = client.handle_rekey(seal_plain(old));
+  const RekeyOutcome outcome =
+      client.handle_rekey(seal_plain(old, {{individual, {group9}}}));
   EXPECT_TRUE(outcome.stale);
   EXPECT_FALSE(outcome.accepted);
   EXPECT_EQ(client.group_key()->version, 10u);  // not rolled back
@@ -149,13 +142,11 @@ TEST(Client, SameEpochReplayIsIdempotent) {
   GroupClient client(config_for(1, 100), nullptr);
   const SymmetricKey individual = make_key(individual_key_id(1), 1);
   client.install_individual_key(individual);
-  rekey::RekeyEncryptor encryptor(crypto::CipherAlgorithm::kDes, rng());
 
   RekeyMessage message;
   message.epoch = 4;
   const SymmetricKey group = make_key(100, 4);
-  message.blobs.push_back(encryptor.wrap(individual, std::span(&group, 1)));
-  const Bytes wire = seal_plain(message);
+  const Bytes wire = seal_plain(message, {{individual, {group}}});
   EXPECT_EQ(client.handle_rekey(wire).keys_changed, 1u);
   EXPECT_EQ(client.handle_rekey(wire).keys_changed, 0u);  // same version
 }
@@ -183,14 +174,14 @@ TEST(Client, VerificationGateRejectsUnsigned) {
   const SymmetricKey individual = make_key(individual_key_id(1), 1);
   client.install_individual_key(individual);
 
-  rekey::RekeyEncryptor encryptor(crypto::CipherAlgorithm::kDes, rng());
   RekeyMessage message;
   message.epoch = 1;
   const SymmetricKey group = make_key(100, 1);
-  message.blobs.push_back(encryptor.wrap(individual, std::span(&group, 1)));
+  const rekey_plans::Crafted crafted{message, {{individual, {group}}}};
 
   // Unsigned message: parses but must not be applied.
-  const RekeyOutcome outcome = client.handle_rekey(seal_plain(message));
+  const RekeyOutcome outcome =
+      client.handle_rekey(rekey_plans::seal_one(crafted, rng()));
   EXPECT_FALSE(outcome.accepted);
   EXPECT_FALSE(client.group_key().has_value());
   EXPECT_EQ(client.totals().rejected, 1u);
@@ -198,7 +189,7 @@ TEST(Client, VerificationGateRejectsUnsigned) {
   // Properly signed: applied.
   const rekey::RekeySealer sealer(rekey::SigningMode::kPerMessage,
                                   crypto::DigestAlgorithm::kMd5, &server_key);
-  const Bytes signed_wire = sealer.seal(std::span(&message, 1))[0];
+  const Bytes signed_wire = rekey_plans::seal_one(crafted, rng(), sealer);
   EXPECT_TRUE(client.handle_rekey(signed_wire).accepted);
   EXPECT_TRUE(client.group_key().has_value());
 }
@@ -207,13 +198,11 @@ TEST(Client, TotalsAccumulate) {
   GroupClient client(config_for(1, 100), nullptr);
   const SymmetricKey individual = make_key(individual_key_id(1), 1);
   client.install_individual_key(individual);
-  rekey::RekeyEncryptor encryptor(crypto::CipherAlgorithm::kDes, rng());
   for (std::uint64_t epoch = 1; epoch <= 3; ++epoch) {
     RekeyMessage message;
     message.epoch = epoch;
     const SymmetricKey group = make_key(100, static_cast<KeyVersion>(epoch));
-    message.blobs.push_back(encryptor.wrap(individual, std::span(&group, 1)));
-    client.handle_rekey(seal_plain(message));
+    client.handle_rekey(seal_plain(message, {{individual, {group}}}));
   }
   EXPECT_EQ(client.totals().rekeys_received, 3u);
   EXPECT_EQ(client.totals().keys_changed, 3u);

@@ -1,13 +1,18 @@
-// RekeyEncryptor / RekeySealer / RekeyOpener: wrap counting, every signing
-// mode's seal/open round trip, and tamper rejection per mode.
+// RekeySealer / RekeyOpener: every signing mode's seal/open round trip
+// through the RekeyExecutor (blobs decrypt to their targets), and tamper
+// rejection per mode.
 #include "rekey/codec.h"
 
 #include <gtest/gtest.h>
 
 #include "common/error.h"
+#include "crypto/cbc.h"
+#include "rekey_plans.h"
 
 namespace keygraphs::rekey {
 namespace {
+
+using rekey_plans::Crafted;
 
 crypto::SecureRandom& rng() {
   static crypto::SecureRandom instance(99);
@@ -24,48 +29,46 @@ SymmetricKey make_key(KeyId id, KeyVersion version) {
   return SymmetricKey{id, version, rng().bytes(8)};
 }
 
-RekeyMessage message_with_blob(RekeyEncryptor& encryptor) {
-  RekeyMessage message;
-  message.kind = RekeyKind::kJoin;
-  message.strategy = StrategyKind::kGroupOriented;
-  message.epoch = 5;
-  const SymmetricKey wrap = make_key(1, 1);
-  const SymmetricKey target = make_key(2, 2);
-  message.blobs.push_back(encryptor.wrap(wrap, std::span(&target, 1)));
-  return message;
+/// Message `i` of a batch: one blob wrapping two fresh keys, with key ids
+/// unique to `i` so the messages of one plan never share a key ref.
+Crafted message_with_blob(KeyId i) {
+  Crafted crafted;
+  crafted.header.kind = RekeyKind::kJoin;
+  crafted.header.strategy = StrategyKind::kGroupOriented;
+  crafted.header.epoch = 5;
+  crafted.wraps.push_back(
+      {make_key(100 + i, 1), {make_key(200 + i, 2), make_key(300 + i, 2)}});
+  return crafted;
 }
 
-TEST(RekeyEncryptor, CountsKeysNotBlobs) {
-  RekeyEncryptor encryptor(crypto::CipherAlgorithm::kDes, rng());
-  const SymmetricKey wrap = make_key(1, 1);
-  const std::vector<SymmetricKey> targets = {make_key(2, 1), make_key(3, 1),
-                                             make_key(4, 1)};
-  const KeyBlob blob = encryptor.wrap(wrap, targets);
-  EXPECT_EQ(encryptor.key_encryptions(), 3u);  // paper's cost unit
-  EXPECT_EQ(blob.targets.size(), 3u);
-  EXPECT_EQ(blob.wrap.id, 1u);
-  encryptor.reset_counters();
-  EXPECT_EQ(encryptor.key_encryptions(), 0u);
+std::vector<Crafted> messages_with_blobs(std::size_t n) {
+  std::vector<Crafted> messages;
+  for (KeyId i = 0; i < n; ++i) messages.push_back(message_with_blob(i));
+  return messages;
 }
 
-TEST(RekeyEncryptor, EmptyTargetsRejected) {
-  RekeyEncryptor encryptor(crypto::CipherAlgorithm::kDes, rng());
-  const SymmetricKey wrap = make_key(1, 1);
-  EXPECT_THROW(encryptor.wrap(wrap, {}), Error);
-}
-
-TEST(RekeyEncryptor, BlobDecryptsToTargetSecrets) {
-  RekeyEncryptor encryptor(crypto::CipherAlgorithm::kAes128, rng());
-  const SymmetricKey wrap{1, 1, rng().bytes(16)};
-  const SymmetricKey a{2, 1, rng().bytes(16)};
-  const SymmetricKey b{3, 1, rng().bytes(16)};
-  const std::vector<SymmetricKey> targets = {a, b};
-  const KeyBlob blob = encryptor.wrap(wrap, targets);
-
-  const crypto::CbcCipher cbc(
-      crypto::make_cipher(crypto::CipherAlgorithm::kAes128, wrap.secret));
-  const Bytes plain = cbc.decrypt(blob.ciphertext);
-  EXPECT_EQ(plain, concat(a.secret, b.secret));
+/// `opened` carries exactly `crafted`: its header, and one blob per wrap
+/// naming the same keys and decrypting to the targets' secrets.
+void expect_opens_to(const OpenedRekey& opened, const Crafted& crafted) {
+  EXPECT_EQ(opened.message.epoch, crafted.header.epoch);
+  EXPECT_EQ(opened.message.kind, crafted.header.kind);
+  EXPECT_EQ(opened.message.strategy, crafted.header.strategy);
+  EXPECT_EQ(opened.message.obsolete, crafted.header.obsolete);
+  ASSERT_EQ(opened.message.blobs.size(), crafted.wraps.size());
+  for (std::size_t i = 0; i < crafted.wraps.size(); ++i) {
+    const KeyBlob& blob = opened.message.blobs[i];
+    const rekey_plans::Wrap& wrap = crafted.wraps[i];
+    EXPECT_EQ(blob.wrap, wrap.wrapping.ref());
+    Bytes secrets;
+    ASSERT_EQ(blob.targets.size(), wrap.targets.size());
+    for (std::size_t t = 0; t < wrap.targets.size(); ++t) {
+      EXPECT_EQ(blob.targets[t], wrap.targets[t].ref());
+      secrets = concat(secrets, wrap.targets[t].secret);
+    }
+    const crypto::CbcCipher cbc(crypto::make_cipher(
+        crypto::CipherAlgorithm::kDes, wrap.wrapping.secret));
+    EXPECT_EQ(cbc.decrypt(blob.ciphertext), secrets);
+  }
 }
 
 TEST(RekeySealer, RequiresSignerForSigningModes) {
@@ -103,27 +106,24 @@ class SealOpen : public ::testing::TestWithParam<SigningMode> {
 };
 
 TEST_P(SealOpen, RoundTripVerifies) {
-  RekeyEncryptor encryptor(crypto::CipherAlgorithm::kDes, rng());
-  std::vector<RekeyMessage> messages;
-  for (int i = 0; i < 5; ++i) messages.push_back(message_with_blob(encryptor));
-  const std::vector<Bytes> wire = make_sealer().seal(messages);
+  const std::vector<Crafted> messages = messages_with_blobs(5);
+  const std::vector<Bytes> wire =
+      rekey_plans::seal(messages, rng(), make_sealer());
   ASSERT_EQ(wire.size(), messages.size());
 
   const RekeyOpener opener(&signer().public_key());
   for (std::size_t i = 0; i < wire.size(); ++i) {
     const OpenedRekey opened = opener.open(wire[i], /*verify=*/true);
     EXPECT_TRUE(opened.verified);
-    EXPECT_EQ(opened.message, messages[i]);
+    expect_opens_to(opened, messages[i]);
     EXPECT_EQ(opened.wire_size, wire[i].size());
   }
 }
 
 TEST_P(SealOpen, TamperedBodyRejectedWhenAuthenticated) {
   if (GetParam() == SigningMode::kNone) return;  // nothing to detect with
-  RekeyEncryptor encryptor(crypto::CipherAlgorithm::kDes, rng());
-  const std::vector<RekeyMessage> messages = {message_with_blob(encryptor),
-                                              message_with_blob(encryptor)};
-  std::vector<Bytes> wire = make_sealer().seal(messages);
+  std::vector<Bytes> wire =
+      rekey_plans::seal(messages_with_blobs(2), rng(), make_sealer());
   // Flip a byte inside the body region (skip the 4-byte length prefix and
   // the first header bytes so the message still parses).
   wire[0][20] ^= 0x01;
@@ -133,13 +133,12 @@ TEST_P(SealOpen, TamperedBodyRejectedWhenAuthenticated) {
 }
 
 TEST_P(SealOpen, VerificationSkippableForBenchmarks) {
-  RekeyEncryptor encryptor(crypto::CipherAlgorithm::kDes, rng());
-  const std::vector<RekeyMessage> messages = {message_with_blob(encryptor)};
-  const std::vector<Bytes> wire = make_sealer().seal(messages);
+  const Crafted message = message_with_blob(0);
+  const Bytes wire = rekey_plans::seal_one(message, rng(), make_sealer());
   const RekeyOpener opener(nullptr);
-  const OpenedRekey opened = opener.open(wire[0], /*verify=*/false);
+  const OpenedRekey opened = opener.open(wire, /*verify=*/false);
   EXPECT_TRUE(opened.verified);  // unverified-but-accepted by request
-  EXPECT_EQ(opened.message, messages[0]);
+  expect_opens_to(opened, message);
 }
 
 INSTANTIATE_TEST_SUITE_P(Modes, SealOpen,
@@ -149,28 +148,26 @@ INSTANTIATE_TEST_SUITE_P(Modes, SealOpen,
                                            SigningMode::kBatch));
 
 TEST(RekeyOpener, SignedMessageWithoutKeyFailsVerification) {
-  RekeyEncryptor encryptor(crypto::CipherAlgorithm::kDes, rng());
-  const std::vector<RekeyMessage> messages = {message_with_blob(encryptor)};
   const RekeySealer sealer(SigningMode::kPerMessage,
                            crypto::DigestAlgorithm::kMd5, &signer());
-  const std::vector<Bytes> wire = sealer.seal(messages);
+  const Bytes wire = rekey_plans::seal_one(message_with_blob(0), rng(), sealer);
   const RekeyOpener opener(nullptr);  // client has no server key
-  EXPECT_FALSE(opener.open(wire[0], /*verify=*/true).verified);
+  EXPECT_FALSE(opener.open(wire, /*verify=*/true).verified);
 }
 
 TEST(RekeyOpener, BatchModeAddsBoundedOverhead) {
   // Table 4: the Merkle path adds ~50-70 bytes per message at n=8192; here
   // just check the overhead of batch vs per-message is the path size, not
   // an extra signature.
-  RekeyEncryptor encryptor(crypto::CipherAlgorithm::kDes, rng());
-  std::vector<RekeyMessage> messages;
-  for (int i = 0; i < 8; ++i) messages.push_back(message_with_blob(encryptor));
+  const std::vector<Crafted> messages = messages_with_blobs(8);
   const RekeySealer per(SigningMode::kPerMessage,
                         crypto::DigestAlgorithm::kMd5, &signer());
   const RekeySealer batch(SigningMode::kBatch, crypto::DigestAlgorithm::kMd5,
                           &signer());
-  const std::size_t per_size = per.seal(messages)[0].size();
-  const std::size_t batch_size = batch.seal(messages)[0].size();
+  const std::size_t per_size =
+      rekey_plans::seal(messages, rng(), per)[0].size();
+  const std::size_t batch_size =
+      rekey_plans::seal(messages, rng(), batch)[0].size();
   EXPECT_GT(batch_size, per_size);
   EXPECT_LT(batch_size, per_size + 100);
 }

@@ -24,7 +24,7 @@ TEST(MultiGroupService, GroupsAreIndependentServers) {
   const GroupId a = service.create_group();
   const GroupId b = service.create_group();
   EXPECT_EQ(service.group_count(), 2u);
-  EXPECT_THROW(service.server(99), ProtocolError);
+  EXPECT_THROW((void)service.server(99), ProtocolError);
 
   service.server(a).join(1);
   service.server(a).join(2);

@@ -10,7 +10,7 @@
 #include <set>
 
 #include "common/error.h"
-#include "rekey/strategy.h"
+#include "rekey_plans.h"
 
 namespace keygraphs::oft {
 namespace {
@@ -152,16 +152,14 @@ TEST(Oft, LeaveCostsAboutHalfOfBinaryKeyTree) {
   for (UserId user = 1; user <= n; ++user) {
     key_tree.join(user, tree_rng.bytes(16));
   }
-  rekey::RekeyEncryptor encryptor(crypto::CipherAlgorithm::kAes128,
-                                  tree_rng);
 
   std::size_t oft_total = 0, lkh_total = 0;
   for (UserId user = 10; user < 40; ++user) {
     oft_total += oft_tree.leave(user).encryptions();
-    encryptor.reset_counters();
-    (void)rekey::make_strategy(rekey::StrategyKind::kGroupOriented)
-        ->plan_leave(key_tree.leave(user), encryptor);
-    lkh_total += encryptor.key_encryptions();
+    lkh_total += rekey_plans::plan_leave(rekey::StrategyKind::kGroupOriented,
+                                         key_tree.leave(user), tree_rng,
+                                         crypto::CipherAlgorithm::kAes128)
+                     .key_encryptions;
   }
   EXPECT_LT(oft_total, lkh_total * 3 / 4)
       << "OFT " << oft_total << " vs binary key tree " << lkh_total;

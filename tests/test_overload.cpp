@@ -14,6 +14,7 @@
 #include "common/io.h"
 #include "rekey/message.h"
 #include "rekey/strategy.h"
+#include "rekey_plans.h"
 #include "server/overload.h"
 #include "server/server.h"
 #include "server/spec.h"
@@ -400,14 +401,10 @@ struct ClientRig {
 
   /// Regular rekey at `epoch`: a new group key wrapped under the path key.
   Bytes group_rekey(std::uint64_t epoch) {
-    rekey::RekeyEncryptor encryptor(crypto::CipherAlgorithm::kDes, rng());
     rekey::RekeyMessage message;
     message.epoch = epoch;
     const SymmetricKey group = make_key(100, static_cast<KeyVersion>(epoch));
-    message.blobs.push_back(encryptor.wrap(path, std::span(&group, 1)));
-    const rekey::RekeySealer sealer(rekey::SigningMode::kNone,
-                                    crypto::DigestAlgorithm::kNone, nullptr);
-    return sealer.seal(std::span(&message, 1))[0];
+    return rekey_plans::seal_one({message, {{path, {group}}}}, rng());
   }
 
   std::uint64_t now = 1'000'000;

@@ -11,15 +11,19 @@
 #include <set>
 
 #include "keygraph/star_graph.h"
-#include "rekey/strategy.h"
+#include "rekey_plans.h"
 
 namespace keygraphs {
 namespace {
 
-using rekey::KeyBlob;
-using rekey::OutboundRekey;
+using rekey::PlannedRekey;
 using rekey::Recipient;
+using rekey::RekeyPlan;
 using rekey::StrategyKind;
+using rekey::WrapOp;
+using rekey_plans::op_of;
+using rekey_plans::plan_join;
+using rekey_plans::plan_leave;
 
 Bytes ik(UserId user) { return Bytes(8, static_cast<std::uint8_t>(user)); }
 
@@ -66,50 +70,44 @@ TEST(PaperFigure5, JoinPathIsK789ThenRoot) {
 
 TEST(PaperFigure5, UserOrientedJoinSendsThreeMessages) {
   JoinScenario scenario;
-  rekey::RekeyEncryptor encryptor(crypto::CipherAlgorithm::kDes,
-                                  scenario.rng);
-  const auto messages = rekey::make_strategy(StrategyKind::kUserOriented)
-                            ->plan_join(scenario.record, encryptor);
+  const RekeyPlan plan = plan_join(StrategyKind::kUserOriented,
+                                   scenario.record, scenario.rng);
   // s -> {u1..u6}: {k1-9}k1-8 ; s -> {u7,u8}: {k1-9,k789}k78 ;
   // s -> u9: {k1-9,k789}k9.
-  ASSERT_EQ(messages.size(), 3u);
-  EXPECT_EQ(messages[0].message.blobs[0].targets.size(), 1u);
-  EXPECT_EQ(messages[1].message.blobs[0].targets.size(), 2u);
-  EXPECT_EQ(messages[2].to.kind, Recipient::Kind::kUser);
-  EXPECT_EQ(messages[2].message.blobs[0].targets.size(), 2u);
+  ASSERT_EQ(plan.messages.size(), 3u);
+  EXPECT_EQ(op_of(plan, 0, 0).targets.size(), 1u);
+  EXPECT_EQ(op_of(plan, 1, 0).targets.size(), 2u);
+  EXPECT_EQ(plan.messages[2].to.kind, Recipient::Kind::kUser);
+  EXPECT_EQ(op_of(plan, 2, 0).targets.size(), 2u);
   // Encryption cost h(h+1)/2 - 1 with h = 3: five encryptions.
-  EXPECT_EQ(encryptor.key_encryptions(), 5u);
+  EXPECT_EQ(plan.key_encryptions, 5u);
 }
 
 TEST(PaperFigure5, KeyOrientedJoinSendsThreeCombinedMessages) {
   JoinScenario scenario;
-  rekey::RekeyEncryptor encryptor(crypto::CipherAlgorithm::kDes,
-                                  scenario.rng);
-  const auto messages = rekey::make_strategy(StrategyKind::kKeyOriented)
-                            ->plan_join(scenario.record, encryptor);
+  const RekeyPlan plan = plan_join(StrategyKind::kKeyOriented,
+                                   scenario.record, scenario.rng);
   // s -> {u1..u6}: {k1-9}k1-8 ; s -> {u7,u8}: {k1-9}k1-8,{k789}k78 ;
   // s -> u9: {k1-9,k789}k9 — three messages, 2(h-1) = 4 encryptions.
-  ASSERT_EQ(messages.size(), 3u);
-  EXPECT_EQ(messages[0].message.blobs.size(), 1u);
-  EXPECT_EQ(messages[1].message.blobs.size(), 2u);
-  EXPECT_EQ(encryptor.key_encryptions(), 4u);
-  // The {k1-9}k1-8 blob is the *same ciphertext* in both messages.
-  EXPECT_EQ(messages[0].message.blobs[0], messages[1].message.blobs[0]);
+  ASSERT_EQ(plan.messages.size(), 3u);
+  EXPECT_EQ(plan.messages[0].ops.size(), 1u);
+  EXPECT_EQ(plan.messages[1].ops.size(), 2u);
+  EXPECT_EQ(plan.key_encryptions, 4u);
+  // The {k1-9}k1-8 blob is the *same op* (one ciphertext) in both messages.
+  EXPECT_EQ(plan.messages[0].ops[0], plan.messages[1].ops[0]);
 }
 
 TEST(PaperFigure5, GroupOrientedJoinSendsMulticastPlusUnicast) {
   JoinScenario scenario;
-  rekey::RekeyEncryptor encryptor(crypto::CipherAlgorithm::kDes,
-                                  scenario.rng);
-  const auto messages = rekey::make_strategy(StrategyKind::kGroupOriented)
-                            ->plan_join(scenario.record, encryptor);
+  const RekeyPlan plan = plan_join(StrategyKind::kGroupOriented,
+                                   scenario.record, scenario.rng);
   // s -> {u1..u8}: {k1-9}k1-8, {k789}k78 ; s -> u9: {k1-9,k789}k9.
-  ASSERT_EQ(messages.size(), 2u);
-  EXPECT_EQ(messages[0].to.kind, Recipient::Kind::kSubgroup);
-  EXPECT_EQ(messages[0].to.include, scenario.root);
-  EXPECT_EQ(messages[0].message.blobs.size(), 2u);
-  EXPECT_EQ(messages[1].to.user, 9u);
-  EXPECT_EQ(encryptor.key_encryptions(), 4u);
+  ASSERT_EQ(plan.messages.size(), 2u);
+  EXPECT_EQ(plan.messages[0].to.kind, Recipient::Kind::kSubgroup);
+  EXPECT_EQ(plan.messages[0].to.include, scenario.root);
+  EXPECT_EQ(plan.messages[0].ops.size(), 2u);
+  EXPECT_EQ(plan.messages[1].to.user, 9u);
+  EXPECT_EQ(plan.key_encryptions, 4u);
 }
 
 // --- Section 3.4: u9 leaves the lower tree ------------------------------
@@ -135,73 +133,63 @@ TEST(PaperFigure5, LeaveChangesK78AndRoot) {
 
 TEST(PaperFigure5, UserOrientedLeaveSendsFourMessages) {
   LeaveScenario scenario;
-  rekey::RekeyEncryptor encryptor(crypto::CipherAlgorithm::kDes,
-                                  scenario.rng);
-  const auto messages = rekey::make_strategy(StrategyKind::kUserOriented)
-                            ->plan_leave(scenario.record, encryptor);
+  const RekeyPlan plan = plan_leave(StrategyKind::kUserOriented,
+                                    scenario.record, scenario.rng);
   // {k1-8}k123 ; {k1-8}k456 ; {k1-8,k78}k7 ; {k1-8,k78}k8.
-  ASSERT_EQ(messages.size(), 4u);
+  ASSERT_EQ(plan.messages.size(), 4u);
   std::multiset<std::size_t> target_counts;
-  for (const OutboundRekey& outbound : messages) {
-    target_counts.insert(outbound.message.blobs[0].targets.size());
+  for (std::size_t i = 0; i < plan.messages.size(); ++i) {
+    target_counts.insert(op_of(plan, i, 0).targets.size());
   }
   EXPECT_EQ(target_counts, (std::multiset<std::size_t>{1, 1, 2, 2}));
   // (d-1) * (1 + 2) = 6 encryptions.
-  EXPECT_EQ(encryptor.key_encryptions(), 6u);
+  EXPECT_EQ(plan.key_encryptions, 6u);
 }
 
 TEST(PaperFigure5, KeyOrientedLeaveSendsFourMessagesWithSharedChain) {
   LeaveScenario scenario;
-  rekey::RekeyEncryptor encryptor(crypto::CipherAlgorithm::kDes,
-                                  scenario.rng);
-  const auto messages = rekey::make_strategy(StrategyKind::kKeyOriented)
-                            ->plan_leave(scenario.record, encryptor);
+  const RekeyPlan plan = plan_leave(StrategyKind::kKeyOriented,
+                                    scenario.record, scenario.rng);
   // {k1-8}k123 ; {k1-8}k456 ; {k1-8}k78,{k78}k7 ; {k1-8}k78,{k78}k8.
-  ASSERT_EQ(messages.size(), 4u);
+  ASSERT_EQ(plan.messages.size(), 4u);
   // Cost d(h-1) - 1 = 5 (the paper's own example count: five ciphertexts).
-  EXPECT_EQ(encryptor.key_encryptions(), 5u);
+  EXPECT_EQ(plan.key_encryptions, 5u);
   // The {k1-8}_{k78'} chain ciphertext is shared between u7's and u8's
   // messages ("by storing encrypted new keys for use in different rekey
-  // messages").
-  std::vector<const KeyBlob*> chain_blobs;
-  for (const OutboundRekey& outbound : messages) {
-    for (const KeyBlob& blob : outbound.message.blobs) {
-      if (blob.wrap.id == scenario.k789 &&
-          blob.targets[0].id == scenario.root) {
-        chain_blobs.push_back(&blob);
+  // messages"): both carry the same op.
+  std::vector<std::uint32_t> chain_ops;
+  for (const PlannedRekey& message : plan.messages) {
+    for (const std::uint32_t op : message.ops) {
+      if (plan.ops[op].wrap.id == scenario.k789 &&
+          plan.ops[op].targets[0].id == scenario.root) {
+        chain_ops.push_back(op);
       }
     }
   }
-  ASSERT_EQ(chain_blobs.size(), 2u);
-  EXPECT_EQ(chain_blobs[0]->ciphertext, chain_blobs[1]->ciphertext);
+  ASSERT_EQ(chain_ops.size(), 2u);
+  EXPECT_EQ(chain_ops[0], chain_ops[1]);
 }
 
 TEST(PaperFigure5, GroupOrientedLeaveSendsOneMessageWithFiveItems) {
   LeaveScenario scenario;
-  rekey::RekeyEncryptor encryptor(crypto::CipherAlgorithm::kDes,
-                                  scenario.rng);
-  const auto messages = rekey::make_strategy(StrategyKind::kGroupOriented)
-                            ->plan_leave(scenario.record, encryptor);
+  const RekeyPlan plan = plan_leave(StrategyKind::kGroupOriented,
+                                    scenario.record, scenario.rng);
   // L0 = {k1-8}k123,{k1-8}k456,{k1-8}k78 ; L1 = {k78}k7,{k78}k8.
-  ASSERT_EQ(messages.size(), 1u);
-  EXPECT_EQ(messages[0].message.blobs.size(), 5u);
-  EXPECT_EQ(encryptor.key_encryptions(), 5u);
+  ASSERT_EQ(plan.messages.size(), 1u);
+  EXPECT_EQ(plan.messages[0].ops.size(), 5u);
+  EXPECT_EQ(plan.key_encryptions, 5u);
 }
 
 TEST(PaperFigure5, NoLeaveBlobUsesAnyKeyU9Held) {
   LeaveScenario scenario;
-  rekey::RekeyEncryptor encryptor(crypto::CipherAlgorithm::kDes,
-                                  scenario.rng);
   std::set<KeyRef> held;
   for (const SymmetricKey& key : scenario.u9_keys) held.insert(key.ref());
   for (StrategyKind kind :
        {StrategyKind::kUserOriented, StrategyKind::kKeyOriented,
         StrategyKind::kGroupOriented, StrategyKind::kHybrid}) {
-    for (const OutboundRekey& outbound :
-         rekey::make_strategy(kind)->plan_leave(scenario.record, encryptor)) {
-      for (const KeyBlob& blob : outbound.message.blobs) {
-        EXPECT_FALSE(held.contains(blob.wrap)) << rekey::strategy_name(kind);
-      }
+    const RekeyPlan plan = plan_leave(kind, scenario.record, scenario.rng);
+    for (const WrapOp& op : plan.ops) {
+      EXPECT_FALSE(held.contains(op.wrap)) << rekey::strategy_name(kind);
     }
   }
 }
@@ -212,12 +200,10 @@ TEST(PaperIntroduction, NineUsersLeaveCostsFiveNotEight) {
   // "by giving each user three keys instead of two, the server performs
   // five encryptions instead of eight" — u1 leaves the 3x3 group.
   Figure5 scenario;
-  rekey::RekeyEncryptor encryptor(crypto::CipherAlgorithm::kDes,
-                                  scenario.rng);
   const LeaveRecord record = scenario.tree.leave(1);
-  (void)rekey::make_strategy(StrategyKind::kGroupOriented)
-      ->plan_leave(record, encryptor);
-  EXPECT_EQ(encryptor.key_encryptions(), 5u);
+  EXPECT_EQ(plan_leave(StrategyKind::kGroupOriented, record, scenario.rng)
+                .key_encryptions,
+            5u);
 }
 
 // --- Figures 2 and 4: star join/leave ------------------------------------
@@ -226,29 +212,26 @@ TEST(PaperFigure2, StarJoinIsTwoMessagesTwoEncryptions) {
   crypto::SecureRandom rng(556);
   StarGraph star(8, rng);
   for (UserId user = 1; user <= 3; ++user) star.join(user, ik(user));
-  rekey::RekeyEncryptor encryptor(crypto::CipherAlgorithm::kDes, rng);
   const JoinRecord record = star.join(4, ik(4));  // Figure 3's u4
-  const auto messages = rekey::make_strategy(StrategyKind::kGroupOriented)
-                            ->plan_join(record, encryptor);
+  const RekeyPlan plan =
+      plan_join(StrategyKind::kGroupOriented, record, rng);
   // s -> {u1,u2,u3}: {k1234}k123 ; s -> u4: {k1234}k4.
-  ASSERT_EQ(messages.size(), 2u);
-  EXPECT_EQ(encryptor.key_encryptions(), 2u);
+  ASSERT_EQ(plan.messages.size(), 2u);
+  EXPECT_EQ(plan.key_encryptions, 2u);
 }
 
 TEST(PaperFigure4, StarLeaveUnicastsToEachRemainingMember) {
   crypto::SecureRandom rng(557);
   StarGraph star(8, rng);
   for (UserId user = 1; user <= 4; ++user) star.join(user, ik(user));
-  rekey::RekeyEncryptor encryptor(crypto::CipherAlgorithm::kDes, rng);
   const LeaveRecord record = star.leave(4);
-  const auto messages = rekey::make_strategy(StrategyKind::kKeyOriented)
-                            ->plan_leave(record, encryptor);
+  const RekeyPlan plan = plan_leave(StrategyKind::kKeyOriented, record, rng);
   // for each v in {u1,u2,u3}: s -> v : {k123}kv.
-  ASSERT_EQ(messages.size(), 3u);
-  EXPECT_EQ(encryptor.key_encryptions(), 3u);
-  for (const OutboundRekey& outbound : messages) {
-    EXPECT_EQ(outbound.message.blobs.size(), 1u);
-    EXPECT_EQ(outbound.message.blobs[0].targets.size(), 1u);
+  ASSERT_EQ(plan.messages.size(), 3u);
+  EXPECT_EQ(plan.key_encryptions, 3u);
+  for (std::size_t i = 0; i < plan.messages.size(); ++i) {
+    EXPECT_EQ(plan.messages[i].ops.size(), 1u);
+    EXPECT_EQ(op_of(plan, i, 0).targets.size(), 1u);
   }
 }
 

@@ -7,6 +7,7 @@
 #include "client/client.h"
 #include "common/io.h"
 #include "rekey/strategy.h"
+#include "rekey_plans.h"
 #include "server/server.h"
 #include "transport/inproc.h"
 
@@ -22,12 +23,6 @@ crypto::SecureRandom& rng() {
 
 SymmetricKey make_key(KeyId id, KeyVersion version) {
   return SymmetricKey{id, version, rng().bytes(8)};
-}
-
-Bytes seal_plain(const RekeyMessage& message) {
-  const rekey::RekeySealer sealer(rekey::SigningMode::kNone,
-                                  crypto::DigestAlgorithm::kNone, nullptr);
-  return sealer.seal(std::span(&message, 1))[0];
 }
 
 /// A recovery-enabled client on a manual clock, pre-loaded with its
@@ -56,31 +51,26 @@ struct Rig {
 
   /// Regular rekey at `epoch`: new group key wrapped under the path key.
   Bytes group_rekey(std::uint64_t epoch, KeyId wrap_unknown = 0) {
-    rekey::RekeyEncryptor encryptor(crypto::CipherAlgorithm::kDes, rng());
     const SymmetricKey wrap =
         wrap_unknown != 0 ? make_key(wrap_unknown, 1) : path;
     RekeyMessage message;
     message.epoch = epoch;
     const SymmetricKey group =
         make_key(100, static_cast<KeyVersion>(epoch));
-    message.blobs.push_back(encryptor.wrap(wrap, std::span(&group, 1)));
-    return seal_plain(message);
+    return rekey_plans::seal_one({message, {{wrap, {group}}}}, rng());
   }
 
   /// Keyset replay (welcome/resync shape): everything under the
   /// individual key.
   Bytes replay_rekey(std::uint64_t epoch) {
-    rekey::RekeyEncryptor encryptor(crypto::CipherAlgorithm::kDes, rng());
     RekeyMessage message;
     message.epoch = epoch;
     const SymmetricKey group =
         make_key(100, static_cast<KeyVersion>(epoch));
     const SymmetricKey fresh_path =
         SymmetricKey{50, static_cast<KeyVersion>(epoch), path.secret};
-    message.blobs.push_back(encryptor.wrap(individual, std::span(&group, 1)));
-    message.blobs.push_back(
-        encryptor.wrap(individual, std::span(&fresh_path, 1)));
-    return seal_plain(message);
+    return rekey_plans::seal_one(
+        {message, {{individual, {group}}, {individual, {fresh_path}}}}, rng());
   }
 
   std::uint64_t now = 1'000'000;

@@ -8,6 +8,7 @@
 #include "common/io.h"
 #include "merkle/digest_tree.h"
 #include "rekey/codec.h"
+#include "rekey_plans.h"
 
 namespace keygraphs {
 namespace {
@@ -19,20 +20,18 @@ crypto::SecureRandom& rng() {
 
 Bytes sealed_sample(rekey::SigningMode mode,
                     const crypto::RsaPrivateKey* signer) {
-  rekey::RekeyEncryptor encryptor(crypto::CipherAlgorithm::kDes, rng());
   rekey::RekeyMessage message;
   message.epoch = 3;
   message.kind = rekey::RekeyKind::kLeave;
   message.obsolete = {42};
   const SymmetricKey wrap{7, 1, rng().bytes(8)};
   const SymmetricKey target{1, 2, rng().bytes(8)};
-  message.blobs.push_back(encryptor.wrap(wrap, std::span(&target, 1)));
   const rekey::RekeySealer sealer(
       mode,
       mode == rekey::SigningMode::kNone ? crypto::DigestAlgorithm::kNone
                                         : crypto::DigestAlgorithm::kMd5,
       signer);
-  return sealer.seal(std::span(&message, 1))[0];
+  return rekey_plans::seal_one({message, {{wrap, {target}}}}, rng(), sealer);
 }
 
 TEST(Robustness, RandomBytesNeverCrashParsers) {
@@ -119,14 +118,13 @@ TEST(Robustness, VerifyingClientStateUnchangedByCorruptedMessages) {
   client.install_individual_key(individual);
 
   // A genuine signed message the client would accept...
-  rekey::RekeyEncryptor encryptor(crypto::CipherAlgorithm::kDes, rng());
   rekey::RekeyMessage message;
   message.epoch = 1;
   const SymmetricKey group{1, 5, rng().bytes(8)};
-  message.blobs.push_back(encryptor.wrap(individual, std::span(&group, 1)));
   const rekey::RekeySealer sealer(rekey::SigningMode::kBatch,
                                   crypto::DigestAlgorithm::kMd5, &signer);
-  const Bytes wire = sealer.seal(std::span(&message, 1))[0];
+  const Bytes wire =
+      rekey_plans::seal_one({message, {{individual, {group}}}}, rng(), sealer);
 
   // ...but a corrupted variant must either be rejected outright or — when
   // the flip only touches bytes outside the signed body (auth-path

@@ -4,7 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include "rekey/strategy.h"
+#include "rekey_plans.h"
 
 namespace keygraphs {
 namespace {
@@ -54,26 +54,22 @@ TEST(StarGraph, KeyOrientedLeaveCostsNMinusOne) {
   // remaining member.
   StarGraph star(8, rng());
   for (UserId user = 1; user <= 12; ++user) star.join(user, ik(user));
-  rekey::RekeyEncryptor encryptor(crypto::CipherAlgorithm::kDes, rng());
-  const auto strategy =
-      rekey::make_strategy(rekey::StrategyKind::kKeyOriented);
   const LeaveRecord record = star.leave(12);
-  const auto messages = strategy->plan_leave(record, encryptor);
-  EXPECT_EQ(messages.size(), 11u);          // one per remaining member
-  EXPECT_EQ(encryptor.key_encryptions(), 11u);  // Table 2(c): n - 1
+  const rekey::RekeyPlan plan = rekey_plans::plan_leave(
+      rekey::StrategyKind::kKeyOriented, record, rng());
+  EXPECT_EQ(plan.messages.size(), 11u);  // one per remaining member
+  EXPECT_EQ(plan.key_encryptions, 11u);  // Table 2(c): n - 1
 }
 
 TEST(StarGraph, JoinCostsTwoEncryptions) {
   // Figure 2: {k_new}_{k_old} multicast + {k_new}_{k_u} unicast.
   StarGraph star(8, rng());
   for (UserId user = 1; user <= 12; ++user) star.join(user, ik(user));
-  rekey::RekeyEncryptor encryptor(crypto::CipherAlgorithm::kDes, rng());
-  const auto strategy =
-      rekey::make_strategy(rekey::StrategyKind::kGroupOriented);
   const JoinRecord record = star.join(13, ik(13));
-  const auto messages = strategy->plan_join(record, encryptor);
-  EXPECT_EQ(messages.size(), 2u);
-  EXPECT_EQ(encryptor.key_encryptions(), 2u);  // Table 2(c): 2
+  const rekey::RekeyPlan plan = rekey_plans::plan_join(
+      rekey::StrategyKind::kGroupOriented, record, rng());
+  EXPECT_EQ(plan.messages.size(), 2u);
+  EXPECT_EQ(plan.key_encryptions, 2u);  // Table 2(c): 2
 }
 
 TEST(StarGraph, SurvivesChurn) {

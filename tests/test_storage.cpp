@@ -48,7 +48,7 @@ std::string temp_dir(const std::string& tag) {
   return base.string();
 }
 
-/// The one journal segment in `dir` (lane 0, any generation/suffix).
+/// The one journal segment in `dir` (lane 0, any generation).
 std::string journal_file(const std::string& dir) {
   for (const auto& entry : std::filesystem::directory_iterator(dir)) {
     const std::string name = entry.path().filename().string();
@@ -154,8 +154,7 @@ class BackendTest : public ::testing::TestWithParam<const char*> {
     const std::string kind = GetParam();
     if (kind == "memory") return storage::make_memory_backend(lanes);
     dir_ = temp_dir(std::string(kind) + "_backend");
-    if (kind == "file") return storage::make_file_backend(dir_, lanes);
-    return storage::make_mmap_backend(dir_, lanes);
+    return storage::make_file_backend(dir_, lanes);
   }
   std::string dir_;
 };
@@ -205,10 +204,7 @@ TEST_P(BackendTest, SurvivesReopenWhenDiskBacked) {
   backend->append(0, bytes_of("after"));
   backend->sync(0);
   if (dir_.empty()) return;  // memory backend: nothing to reopen
-  const std::string kind = GetParam();
-  const auto reopened = kind == "file"
-                            ? storage::make_file_backend(dir_, 1)
-                            : storage::make_mmap_backend(dir_, 1);
+  const auto reopened = storage::make_file_backend(dir_, 1);
   EXPECT_EQ(reopened->generation(), 1u);
   EXPECT_EQ(reopened->snapshot_epoch(), 3u);
   ASSERT_TRUE(reopened->read_snapshot().has_value());
@@ -217,7 +213,7 @@ TEST_P(BackendTest, SurvivesReopenWhenDiskBacked) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, BackendTest,
-                         ::testing::Values("memory", "file", "mmap"),
+                         ::testing::Values("memory", "file"),
                          [](const auto& info) {
                            return std::string(info.param);
                          });
@@ -474,25 +470,6 @@ TEST(ServerRecovery, FileBackendRestartIsByteIdentical) {
   server::GroupKeyServer restarted(config, transport);
   restarted.recover_from_storage();
   EXPECT_EQ(restarted.epoch(), epoch);
-  EXPECT_EQ(restarted.snapshot(), expected);
-}
-
-TEST(ServerRecovery, MmapBackendRestartIsByteIdentical) {
-  const std::string dir = temp_dir("mmap_restart");
-  transport::NullTransport transport;
-  server::ServerConfig config;
-  config.rng_seed = 98;
-  config.storage.kind = storage::Kind::kMmap;
-  config.storage.journal_dir = dir;
-
-  Bytes expected;
-  {
-    server::GroupKeyServer primary(config, transport);
-    churn(primary);
-    expected = primary.snapshot();
-  }
-  server::GroupKeyServer restarted(config, transport);
-  restarted.recover_from_storage();
   EXPECT_EQ(restarted.snapshot(), expected);
 }
 

@@ -17,9 +17,12 @@
 #include <set>
 
 #include "keygraph/key_tree.h"
+#include "rekey_plans.h"
 
 namespace keygraphs::rekey {
 namespace {
+
+using rekey_plans::op_of;
 
 struct TreeShape {
   int degree;
@@ -30,7 +33,7 @@ class StrategyCosts
     : public ::testing::TestWithParam<std::tuple<TreeShape, StrategyKind>> {
  protected:
   void SetUp() override {
-    const auto [shape, kind] = GetParam();
+    const TreeShape shape = std::get<0>(GetParam());
     degree_ = shape.degree;
     levels_ = shape.levels;
     paper_h_ = static_cast<std::size_t>(levels_) + 1;
@@ -45,9 +48,6 @@ class StrategyCosts
     // Vacate one slot so the next join lands in the hole (path length ==
     // levels, no split) and the formulas apply exactly.
     tree_->leave(1);
-    strategy_ = make_strategy(kind);
-    encryptor_ = std::make_unique<RekeyEncryptor>(
-        crypto::CipherAlgorithm::kDes, *rng_);
   }
 
   int degree_ = 0;
@@ -56,8 +56,6 @@ class StrategyCosts
   std::size_t n_ = 0;
   std::unique_ptr<crypto::SecureRandom> rng_;
   std::unique_ptr<KeyTree> tree_;
-  std::unique_ptr<RekeyStrategy> strategy_;
-  std::unique_ptr<RekeyEncryptor> encryptor_;
 };
 
 TEST_P(StrategyCosts, JoinMatchesPaperFormulas) {
@@ -65,38 +63,39 @@ TEST_P(StrategyCosts, JoinMatchesPaperFormulas) {
   const JoinRecord record =
       tree_->join(9999, Bytes(8, 0xEE));
   ASSERT_EQ(record.path.size(), static_cast<std::size_t>(levels_));
-  const auto messages = strategy_->plan_join(record, *encryptor_);
+  const RekeyPlan plan = rekey_plans::plan_join(kind, record, *rng_);
+  const std::vector<PlannedRekey>& messages = plan.messages;
   const std::size_t h = paper_h_;
   const std::size_t d = static_cast<std::size_t>(degree_);
 
   switch (kind) {
     case StrategyKind::kUserOriented:
       EXPECT_EQ(messages.size(), h);  // h-1 subgroup messages + welcome
-      EXPECT_EQ(encryptor_->key_encryptions(), h * (h + 1) / 2 - 1);
+      EXPECT_EQ(plan.key_encryptions, h * (h + 1) / 2 - 1);
       break;
     case StrategyKind::kKeyOriented:
       EXPECT_EQ(messages.size(), h);
-      EXPECT_EQ(encryptor_->key_encryptions(), 2 * (h - 1));
+      EXPECT_EQ(plan.key_encryptions, 2 * (h - 1));
       break;
     case StrategyKind::kGroupOriented:
       EXPECT_EQ(messages.size(), 2u);  // one multicast + welcome
-      EXPECT_EQ(encryptor_->key_encryptions(), 2 * (h - 1));
+      EXPECT_EQ(plan.key_encryptions, 2 * (h - 1));
       break;
     case StrategyKind::kHybrid:
       EXPECT_EQ(messages.size(), d + 1);  // one per root subtree + welcome
-      EXPECT_EQ(encryptor_->key_encryptions(), 2 * (h - 1));
+      EXPECT_EQ(plan.key_encryptions, 2 * (h - 1));
       break;
   }
 
   // Exactly one unicast, addressed to the joiner, carrying all new keys.
   std::size_t unicasts = 0;
-  for (const OutboundRekey& outbound : messages) {
-    if (outbound.to.kind == Recipient::Kind::kUser) {
+  for (std::size_t i = 0; i < messages.size(); ++i) {
+    if (messages[i].to.kind == Recipient::Kind::kUser) {
       ++unicasts;
-      EXPECT_EQ(outbound.to.user, 9999u);
-      ASSERT_EQ(outbound.message.blobs.size(), 1u);
-      EXPECT_EQ(outbound.message.blobs[0].wrap.id, individual_key_id(9999));
-      EXPECT_EQ(outbound.message.blobs[0].targets.size(), record.path.size());
+      EXPECT_EQ(messages[i].to.user, 9999u);
+      ASSERT_EQ(messages[i].ops.size(), 1u);
+      EXPECT_EQ(op_of(plan, i, 0).wrap.id, individual_key_id(9999));
+      EXPECT_EQ(op_of(plan, i, 0).targets.size(), record.path.size());
     }
   }
   EXPECT_EQ(unicasts, 1u);
@@ -107,12 +106,10 @@ TEST_P(StrategyCosts, JoinMatchesPaperFormulas) {
   for (const PathChange& change : record.path) {
     new_keys.insert(change.new_key.ref());
   }
-  for (const OutboundRekey& outbound : messages) {
-    for (const KeyBlob& blob : outbound.message.blobs) {
-      if (blob.wrap.id == individual_key_id(9999)) continue;
-      EXPECT_FALSE(new_keys.contains(blob.wrap))
-          << "blob wrapped under a key the joiner now holds";
-    }
+  for (const WrapOp& op : plan.ops) {
+    if (op.wrap.id == individual_key_id(9999)) continue;
+    EXPECT_FALSE(new_keys.contains(op.wrap))
+        << "blob wrapped under a key the joiner now holds";
   }
 }
 
@@ -127,7 +124,8 @@ TEST_P(StrategyCosts, LeaveMatchesPaperFormulas) {
     // Degree 2 splices the leaver's parent out, shortening the path.
     ASSERT_EQ(record.path.size(), static_cast<std::size_t>(levels_));
   }
-  const auto messages = strategy_->plan_leave(record, *encryptor_);
+  const RekeyPlan plan = rekey_plans::plan_leave(kind, record, *rng_);
+  const std::vector<PlannedRekey>& messages = plan.messages;
   const std::size_t h = paper_h_;
   const std::size_t d = static_cast<std::size_t>(degree_);
 
@@ -135,19 +133,19 @@ TEST_P(StrategyCosts, LeaveMatchesPaperFormulas) {
     switch (kind) {
       case StrategyKind::kUserOriented:
         EXPECT_EQ(messages.size(), (d - 1) * (h - 1));
-        EXPECT_EQ(encryptor_->key_encryptions(), (d - 1) * h * (h - 1) / 2);
+        EXPECT_EQ(plan.key_encryptions, (d - 1) * h * (h - 1) / 2);
         break;
       case StrategyKind::kKeyOriented:
         EXPECT_EQ(messages.size(), (d - 1) * (h - 1));
-        EXPECT_EQ(encryptor_->key_encryptions(), d * (h - 1) - 1);
+        EXPECT_EQ(plan.key_encryptions, d * (h - 1) - 1);
         break;
       case StrategyKind::kGroupOriented:
         EXPECT_EQ(messages.size(), 1u);
-        EXPECT_EQ(encryptor_->key_encryptions(), d * (h - 1) - 1);
+        EXPECT_EQ(plan.key_encryptions, d * (h - 1) - 1);
         break;
       case StrategyKind::kHybrid:
         EXPECT_EQ(messages.size(), d);
-        EXPECT_EQ(encryptor_->key_encryptions(), d * (h - 1) - 1);
+        EXPECT_EQ(plan.key_encryptions, d * (h - 1) - 1);
         break;
     }
   }
@@ -156,19 +154,19 @@ TEST_P(StrategyCosts, LeaveMatchesPaperFormulas) {
   // leaver held (its individual key or any old path key).
   std::set<KeyRef> leaver_refs;
   for (const SymmetricKey& key : leaver_keys) leaver_refs.insert(key.ref());
-  for (const OutboundRekey& outbound : messages) {
-    EXPECT_EQ(outbound.message.kind, RekeyKind::kLeave);
-    for (const KeyBlob& blob : outbound.message.blobs) {
-      EXPECT_FALSE(leaver_refs.contains(blob.wrap))
-          << "leave blob wrapped under a key the leaver held: "
-          << to_string(blob.wrap);
-    }
+  for (const PlannedRekey& message : messages) {
+    EXPECT_EQ(message.header.kind, RekeyKind::kLeave);
+  }
+  for (const WrapOp& op : plan.ops) {
+    EXPECT_FALSE(leaver_refs.contains(op.wrap))
+        << "leave blob wrapped under a key the leaver held: "
+        << to_string(op.wrap);
   }
 
   // No message is addressed to the leaver.
-  for (const OutboundRekey& outbound : messages) {
-    if (outbound.to.kind == Recipient::Kind::kUser) {
-      EXPECT_NE(outbound.to.user, 9999u);
+  for (const PlannedRekey& message : messages) {
+    if (message.to.kind == Recipient::Kind::kUser) {
+      EXPECT_NE(message.to.user, 9999u);
     }
   }
 }
@@ -193,17 +191,15 @@ TEST(StrategyFactory, ProducesAllKinds) {
 
 TEST(Strategies, FirstJoinProducesOnlyWelcome) {
   crypto::SecureRandom rng(3);
-  KeyTree tree(4, 8, rng);
-  RekeyEncryptor encryptor(crypto::CipherAlgorithm::kDes, rng);
   for (StrategyKind kind :
        {StrategyKind::kUserOriented, StrategyKind::kKeyOriented,
         StrategyKind::kGroupOriented, StrategyKind::kHybrid}) {
     crypto::SecureRandom fresh(4);
     KeyTree t(4, 8, fresh);
     const JoinRecord record = t.join(1, Bytes(8, 1));
-    const auto messages = make_strategy(kind)->plan_join(record, encryptor);
-    ASSERT_EQ(messages.size(), 1u) << strategy_name(kind);
-    EXPECT_EQ(messages[0].to.kind, Recipient::Kind::kUser);
+    const RekeyPlan plan = rekey_plans::plan_join(kind, record, rng);
+    ASSERT_EQ(plan.messages.size(), 1u) << strategy_name(kind);
+    EXPECT_EQ(plan.messages[0].to.kind, Recipient::Kind::kUser);
   }
 }
 
@@ -213,37 +209,36 @@ TEST(Strategies, LastLeaveProducesNoMessages) {
         StrategyKind::kGroupOriented, StrategyKind::kHybrid}) {
     crypto::SecureRandom rng(5);
     KeyTree tree(4, 8, rng);
-    RekeyEncryptor encryptor(crypto::CipherAlgorithm::kDes, rng);
     tree.join(1, Bytes(8, 1));
     const LeaveRecord record = tree.leave(1);
-    EXPECT_TRUE(make_strategy(kind)->plan_leave(record, encryptor).empty())
-        << strategy_name(kind);
+    const RekeyPlan plan = rekey_plans::plan_leave(kind, record, rng);
+    EXPECT_TRUE(plan.messages.empty()) << strategy_name(kind);
+    EXPECT_EQ(plan.key_encryptions, 0u) << strategy_name(kind);
   }
 }
 
 TEST(Strategies, KeyOrientedLeaveChainIsSharedNotReencrypted) {
-  // Figure 8 stores {K'_{i-1}}_{K'_i} once: identical ciphertext bytes must
-  // appear in the messages of different subtrees.
+  // Figure 8 stores {K'_{i-1}}_{K'_i} once: the messages of different
+  // subtrees must carry the same op (one ciphertext), not re-encrypt it.
   crypto::SecureRandom rng(6);
   KeyTree tree(3, 8, rng);
   for (UserId user = 1; user <= 27; ++user) {
     tree.join(user, Bytes(8, static_cast<std::uint8_t>(user)));
   }
-  RekeyEncryptor encryptor(crypto::CipherAlgorithm::kDes, rng);
   const LeaveRecord record = tree.leave(27);
-  const auto messages =
-      make_strategy(StrategyKind::kKeyOriented)->plan_leave(record, encryptor);
+  const RekeyPlan plan =
+      rekey_plans::plan_leave(StrategyKind::kKeyOriented, record, rng);
   // Find the root-level chain blob {K'_0}_{K'_1} in two distinct messages.
   std::size_t matches = 0;
-  Bytes reference;
-  for (const auto& outbound : messages) {
-    for (const KeyBlob& blob : outbound.message.blobs) {
-      if (blob.wrap.id == record.path[1].node &&
-          blob.targets[0].id == record.path[0].node) {
-        if (reference.empty()) {
-          reference = blob.ciphertext;
+  std::optional<std::uint32_t> reference;
+  for (const PlannedRekey& message : plan.messages) {
+    for (const std::uint32_t op : message.ops) {
+      if (plan.ops[op].wrap.id == record.path[1].node &&
+          plan.ops[op].targets[0].id == record.path[0].node) {
+        if (!reference) {
+          reference = op;
         } else {
-          EXPECT_EQ(blob.ciphertext, reference);
+          EXPECT_EQ(op, *reference);
         }
         ++matches;
       }
